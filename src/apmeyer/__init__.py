@@ -9,6 +9,7 @@ from .errors import (
     RankDeficient,
     RankGapError,
     UnboundedRegion,
+    VerificationFailed,
 )
 from .exact import (
     QuadScalar,

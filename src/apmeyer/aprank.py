@@ -11,8 +11,9 @@ retries with a larger radius, never wrong output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import floor, lcm
 
@@ -29,7 +30,7 @@ from .cps import (
     refine_lattice,
     trivial_window,
 )
-from .errors import BudgetExceeded, NotInLattice, RankGapError
+from .errors import BudgetExceeded, NotInLattice, RankGapError, VerificationFailed
 from .exact import (
     IntEchelon,
     QuadScalar,
@@ -42,6 +43,12 @@ from .exact import (
 )
 from .progression import ArithmeticProgression, ap_points, ap_rank, brute_force_li_ap
 from .vdw import CubeColoring, find_mono_grid
+
+
+def _verify(ok: bool, message: str) -> None:
+    """Exact re-verification guard; unlike `assert`, it survives `python -O`."""
+    if not ok:
+        raise VerificationFailed(message)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +234,8 @@ def shrink_window(window: Box, factor: int) -> tuple[Box, Box]:
     u = Box(u_lo, u_hi, (False,) * n, (False,) * n)
     v = Box(v_lo, v_hi, (False,) * n, (False,) * n)
     for ul, uh, vl, vh, wl, wh in zip(u_lo, u_hi, v_lo, v_hi, window.lo, window.hi):
-        assert (ul + factor * vl - wl).sign() >= 0
-        assert (wh - (uh + factor * vh)).sign() >= 0
+        _verify((ul + factor * vl - wl).sign() >= 0, "U + factor*V leaves the window")
+        _verify((wh - (uh + factor * vh)).sign() >= 0, "U + factor*V leaves the window")
     return u, v
 
 
@@ -253,7 +260,21 @@ def inscribe_box(window) -> Box:
 # covering radius certificate
 # ---------------------------------------------------------------------------
 
-_COVER_CACHE: dict = {}
+# Least-recently-used certificates kept per process; a key is (scheme, window,
+# resolution, span), so the budget of the first call decides a cached entry.
+COVER_CACHE_SIZE = 1024
+
+
+@dataclass(frozen=True)
+class _CoverJob:
+    """Arguments of one covering certificate, hashed and compared by `key`."""
+
+    key: tuple
+    cps: object = field(compare=False)
+    window: object = field(compare=False)
+    resolution: Fraction = field(compare=False)
+    span: Fraction = field(compare=False)
+    budget: int = field(compare=False)
 
 
 def covering_radius_certificate(cps, window, resolution=Fraction(1, 10),
@@ -263,11 +284,18 @@ def covering_radius_certificate(cps, window, resolution=Fraction(1, 10),
     Enumerates the model set over [-span, span]^d, probes a centered grid of
     the given resolution, and returns (worst nearest distance, bracketed
     upward) + one resolution step.  Not a proof: downstream constructions
-    re-verify exactly and retry with a doubled radius on failure.
+    re-verify exactly and retry with a doubled radius on failure.  Results
+    are cached in a bounded LRU cache of `COVER_CACHE_SIZE` entries.
     """
     key = (cps.key(), window.key() if window is not None else None, resolution, span)
-    if key in _COVER_CACHE:
-        return _COVER_CACHE[key]
+    return _cover_radius(_CoverJob(key, cps, window, resolution, span, budget))
+
+
+@lru_cache(maxsize=COVER_CACHE_SIZE)
+def _cover_radius(job: _CoverJob) -> Fraction:
+    cps, window, resolution, span, budget = (
+        job.cps, job.window, job.resolution, job.span, job.budget
+    )
     d = cps.d
     region = Box([-span] * d, [span] * d)
     pts = enumerate_model_set(cps, window, region, budget)
@@ -321,9 +349,7 @@ def covering_radius_certificate(cps, window, resolution=Fraction(1, 10),
         if exact_best is None or dd < exact_best:
             exact_best = dd
     upper_sq = quad_bounds(exact_best, bits=40)[1]
-    result = sqrt_upper(upper_sq) + resolution
-    _COVER_CACHE[key] = result
-    return result
+    return sqrt_upper(upper_sq) + resolution
 
 
 def _cells_at_radius(cell, radius, d):
@@ -410,9 +436,10 @@ def li_ap_in_model_set(cps, window, length, anchor=None,
     for p in ap_points(ap, budget):
         pt = cps.star(p)
         if cps.m:
-            assert window.contains(pt.internal), "exact membership check failed"
-        assert (_dist_sq(pt.physical, anchor) - radius_sq).sign() <= 0
-    assert ap_rank(ap) == cps.d + cps.m
+            _verify(window.contains(pt.internal), "exact membership check failed")
+        _verify((_dist_sq(pt.physical, anchor) - radius_sq).sign() <= 0,
+                "progression point outside the certified ball")
+    _verify(ap_rank(ap) == cps.d + cps.m, "progression rank is below d+m")
     return ap, radius
 
 
@@ -446,11 +473,12 @@ def mono_li_ap(cps, window, depth, coloring, anchor=None,
             )
             out = ArithmeticProgression(base, ratios, depth)
             out_colors = {coloring(p) for p in ap_points(out, budget)}
-            assert len(out_colors) == 1, "output progression is not monochromatic"
-            assert ap_rank(out) == cps.d + cps.m
+            _verify(len(out_colors) == 1, "output progression is not monochromatic")
+            _verify(ap_rank(out) == cps.d + cps.m, "progression rank is below d+m")
             if cps.m:
                 for p in ap_points(out, budget):
-                    assert window.contains(cps.star(p).internal)
+                    _verify(window.contains(cps.star(p).internal),
+                            "exact membership check failed")
             return out
         n *= 2
     raise BudgetExceeded("monochromatic search exhausted its deepening budget")
@@ -482,8 +510,8 @@ def li_ap_in_meyer(expr: MeyerExpr, length, anchor=None,
         base = ExprPoint(tuple(Fraction(c) + tc for c, tc in zip(ap0.base, t.coords)))
     out = ArithmeticProgression(base, ap0.ratios, length, kind="module")
     for p in ap_points(out, budget):
-        assert expr_contains(expr, p), "translated progression left the expression"
-    assert ap_rank(out) == cps.d + cps.m
+        _verify(expr_contains(expr, p), "translated progression left the expression")
+    _verify(ap_rank(out) == cps.d + cps.m, "progression rank is below d+m")
     return out
 
 
@@ -573,7 +601,8 @@ def euclideanize(expr: MeyerExpr, sample_halfwidth=Fraction(20),
     lattice and shifts its branch window.  Any symbolic translate means the
     ap-rank is strictly below the rank and the embedding is refused.
     Containment of the sampled expression in the new model set is verified
-    exactly before returning.
+    exactly before returning.  Returns (refined scheme, window, verification
+    report); raises `VerificationFailed` on any violation.
     """
     mult = refinement_multiplier(expr)
     refined = refine_lattice(expr.cps, mult)
@@ -583,8 +612,8 @@ def euclideanize(expr: MeyerExpr, sample_halfwidth=Fraction(20),
         parts.append((g, branch.window))
     window2 = ShiftedUnion(parts).simplify()
     report = verify_euclideanization(expr, refined, window2, sample_halfwidth, budget)
-    assert report["violations"] == 0, "euclideanization verification failed"
-    return refined, window2
+    _verify(report["violations"] == 0, "euclideanization verification failed")
+    return refined, window2, report
 
 
 def refinement_multiplier(expr: MeyerExpr) -> int:

@@ -19,7 +19,7 @@ from . import cps as _cps
 from . import files as _files
 from . import progression as _prog
 from . import vdw as _vdw
-from .errors import ApMeyerError, NoMonoGrid, ParseError, RankGapError
+from .errors import ApMeyerError, NoMonoGrid, ParseError, RankGapError, VerificationFailed
 from .exact import as_quad, decimal_str, parse_quad
 
 
@@ -201,7 +201,7 @@ def _cmd_aprank(args) -> tuple[dict, int]:
 def _cmd_euclideanize(args) -> tuple[dict, int]:
     expr = _files.load_expr(args.expr)
     try:
-        refined, window = _aprank.euclideanize(
+        refined, window, verification = _aprank.euclideanize(
             expr, sample_halfwidth=Fraction(args.sample), budget=args.budget
         )
     except RankGapError as exc:
@@ -209,9 +209,6 @@ def _cmd_euclideanize(args) -> tuple[dict, int]:
             "result": {"rank_gap": True, "independent_translate": exc.translate},
             "status": "fail",
         }, 1
-    verification = _aprank.verify_euclideanization(
-        expr, refined, window, Fraction(args.sample), args.budget
-    )
     result = {
         "multiplier": _aprank.refinement_multiplier(expr),
         "cps": _files.cps_to_dict(refined),
@@ -338,7 +335,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except NoMonoGrid as exc:
+    except (NoMonoGrid, VerificationFailed) as exc:
         body, code = {"result": {"error": str(exc)}, "status": "fail"}, 1
     except ApMeyerError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -2,9 +2,17 @@
 
 A scheme is a rank-(d+m) lattice given by generators whose physical part lives
 in R^d and internal part in R^m, all coordinates in Q(sqrt(D)).  Everything
-here is exact: model-set enumeration derives a provably exhaustive integer
-bounding box from the inverse generator matrix with outward rational rounding,
-and every membership decision is an exact sign computation.
+here is exact, and every membership decision is an exact sign computation.
+
+Model-set enumeration is slab enumeration over the polytope region x window,
+in the spirit of Fincke-Pohst.  The integer coordinates z are fixed one at a
+time, in order, while the exact partial sums G.z of the fixed prefix are
+carried along.  A coordinate's admissible range is the integer bounding box
+(the image of the outward rational brackets of region x window under the
+exact inverse generator matrix), cut by the exact slab of every constraint
+row whose generator coefficients vanish beyond that coordinate.  The slabs
+are solved from the same outward rational brackets, so no point of the model
+set is lost; the survivors are then decided by exact star membership.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 from .errors import BudgetExceeded, NotInLattice, UnboundedRegion
 from .exact import (
@@ -390,9 +399,18 @@ def _interval_dot(row, los, his):
 def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
     """All lattice points with physical part in `region` and star in `window`.
 
-    Exhaustive by construction: the integer coordinate box is the image of the
-    (region x window) bounding box under the exact inverse generator matrix,
-    rounded outward.  Output sorted lexicographically by integer coordinates.
+    Slab enumeration, exhaustive by construction.  Every point satisfies
+    los_i <= (G.z)_i <= his_i for each full-space coordinate i, where
+    [los_i, his_i] are the outward rational brackets of region x window.
+    The integer bounding box (those brackets under the exact inverse matrix,
+    rounded outward) bounds every coordinate, and its size is checked
+    against `budget`.  Coordinates are then fixed in order: at level k each
+    row i whose last nonzero generator coefficient g sits in column k pins
+    z_k to the exact ceil/floor of (los_i - s_i)/g and (his_i - s_i)/g, with
+    s_i the exact partial sum of the fixed prefix.  Empty ranges are pruned,
+    and each surviving z goes through `cps.star` and the exact
+    `region.contains` / `window.contains`.  Output is in lexicographic order
+    of the integer coordinates.
     """
     if not isinstance(region, (Box, Ball)):
         raise UnboundedRegion(f"region must be a bounded box or ball, got {region!r}")
@@ -416,17 +434,44 @@ def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
         zhi = hi.__floor__()
         if zhi < zlo:
             return []
-        ranges.append(range(zlo, zhi + 1))
+        ranges.append((zlo, zhi))
         total *= zhi - zlo + 1
         if total > budget:
             raise BudgetExceeded(f"integer bounding box of size {total} exceeds budget {budget}")
 
+    n = cps.d + cps.m
+    columns = cps.generators
+    # slabs[k]: (row, 1/g, first, second) for the rows whose last nonzero
+    # coefficient g is in column k; z_k lies in [(first - s)/g, (second - s)/g]
+    slabs = [[] for _ in range(n)]
+    for i in range(n):
+        k = max(j for j in range(n) if columns[j][i])
+        g = columns[k][i]
+        first, second = (los[i], his[i]) if g.sign() > 0 else (his[i], los[i])
+        slabs[k].append((i, 1 / g, first, second))
+
     points = []
-    for z in product(*ranges):
-        p = cps.star(z)
-        if region.contains(p.physical) and window.contains(p.internal):
-            points.append(p)
-    points.sort(key=lambda p: p.coords)
+
+    def descend(k, prefix, sums):
+        zlo, zhi = ranges[k]
+        for i, inv_g, first, second in slabs[k]:
+            zlo = max(zlo, ceil((first - sums[i]) * inv_g))
+            zhi = min(zhi, floor((second - sums[i]) * inv_g))
+        if zhi < zlo:
+            return
+        if k == n - 1:
+            for c in range(zlo, zhi + 1):
+                p = cps.star(prefix + (c,))
+                if region.contains(p.physical) and window.contains(p.internal):
+                    points.append(p)
+            return
+        column = columns[k]
+        sums = [s + zlo * x if x else s for s, x in zip(sums, column)]
+        for c in range(zlo, zhi + 1):
+            descend(k + 1, prefix + (c,), sums)
+            sums = [s + x if x else s for s, x in zip(sums, column)]
+
+    descend(0, (), [QuadScalar(0)] * n)
     return points
 
 

@@ -33,6 +33,10 @@ class NoMonoGrid(ApMeyerError):
     """No monochromatic grid of the requested depth exists in the colored cube."""
 
 
+class VerificationFailed(ApMeyerError):
+    """A constructed object failed its exact re-verification."""
+
+
 class RankGapError(ApMeyerError):
     """Euclideanization refused: some translate is independent of the lattice span."""
 

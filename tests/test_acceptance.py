@@ -259,7 +259,8 @@ def test_criterion_09_euclideanization():
     t0 = time.time()
     fib = builtin("fibonacci")
     expr = meyer_expr(fib, [([F(1, 3)], Box([F(0)], [F(1, 2)]))])
-    cps2, w2 = euclideanize(expr)
+    cps2, w2, verification = euclideanize(expr)
+    assert verification["violations"] == 0
     assert cps2.generators[0] == (QuadScalar(F(1, 3)), QuadScalar(F(1, 3)))
     assert cps2.generators[1] == (PHI / 3, QuadScalar(F(1, 2), F(-1, 2), 5) / 3)
     assert lift_translate(cps2, [F(1, 3)]) == (QuadScalar(F(1, 3)),)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apmeyer import aprank
 from apmeyer.aprank import (
+    COVER_CACHE_SIZE,
     ExprPoint,
     SymbolicTranslate,
     aprank_bounds,
@@ -24,7 +26,7 @@ from apmeyer.aprank import (
     verify_euclideanization,
 )
 from apmeyer.cps import Ball, Box, builtin, trivial_window
-from apmeyer.errors import BudgetExceeded, NotInLattice, RankGapError
+from apmeyer.errors import BudgetExceeded, NotInLattice, RankGapError, VerificationFailed
 from apmeyer.exact import QuadScalar
 from apmeyer.progression import ap_points, ap_rank, verify_ap
 
@@ -110,6 +112,30 @@ def test_covering_certificate_thin_window_errors():
     thin = Box([F(1, 1000)], [F(2, 1000)], (False,), (False,))
     with pytest.raises(BudgetExceeded):
         covering_radius_certificate(fib(), thin, F(1, 10), span=F(4))
+
+
+def test_covering_cache_is_bounded_and_reused(monkeypatch):
+    aprank._cover_radius.cache_clear()
+    calls = []
+    real = aprank.enumerate_model_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(aprank, "enumerate_model_set", counting)
+    for k in range(COVER_CACHE_SIZE + 50):
+        shift = F(k, 10 ** 5)
+        window = Box([shift - 1], [shift + 1])
+        covering_radius_certificate(fib(), window, F(1), span=F(2))
+    assert len(calls) == COVER_CACHE_SIZE + 50
+    assert aprank._cover_radius.cache_info().currsize == COVER_CACHE_SIZE
+    # a fresh window object with a recently used key is served from the cache
+    shift = F(COVER_CACHE_SIZE + 49, 10 ** 5)
+    again = covering_radius_certificate(fib(), Box([shift - 1], [shift + 1]), F(1), span=F(2))
+    assert len(calls) == COVER_CACHE_SIZE + 50
+    assert 0 < again <= 3
+    aprank._cover_radius.cache_clear()
 
 
 # -- independent ratios -----------------------------------------------------------
@@ -329,7 +355,7 @@ def test_rank_gap_bracket_stays_at_two():
 
 def test_euclideanize_plain_is_identity():
     expr = meyer_expr(fib(), [(None, UNIT)])
-    cps2, w2 = euclideanize(expr)
+    cps2, w2, _ = euclideanize(expr)
     assert cps2.generators == fib().generators
     assert isinstance(w2, Box)
     assert (w2.lo[0], w2.hi[0]) == (F(0), F(1))
@@ -338,13 +364,14 @@ def test_euclideanize_plain_is_identity():
 def test_euclideanize_one_third_translate():
     half = Box([F(0)], [F(1, 2)])
     expr = meyer_expr(fib(), [([F(1, 3)], half)])
-    cps2, w2 = euclideanize(expr)
+    cps2, w2, returned = euclideanize(expr)
     assert cps2.generators[0][0] == F(1, 3)
     assert cps2.generators[1][0] == PHI / 3
     assert isinstance(w2, Box)
     assert (w2.lo[0], w2.hi[0]) == (F(1, 3), F(5, 6))
     report = verify_euclideanization(expr, cps2, w2)
     assert report["violations"] == 0 and report["points_checked"] >= 8
+    assert returned == report
 
 
 def test_euclideanized_model_set_is_strictly_larger():
@@ -352,7 +379,7 @@ def test_euclideanized_model_set_is_strictly_larger():
     # not in the original expression (2/3 - 1/3 = 1/3 is not a lattice point)
     half = Box([F(0)], [F(1, 2)])
     expr = meyer_expr(fib(), [([F(1, 3)], half)])
-    cps2, w2 = euclideanize(expr)
+    cps2, w2, _ = euclideanize(expr)
     p = cps2.star((2, 0))
     assert p.physical[0] == F(2, 3)
     assert w2.contains(p.internal)
@@ -362,3 +389,24 @@ def test_euclideanized_model_set_is_strictly_larger():
 def test_euclideanize_refuses_symbolic_translate():
     with pytest.raises(RankGapError):
         euclideanize(rank_gap_example(fib(), 1))
+
+
+# -- verification failures ----------------------------------------------------------
+
+def test_euclideanize_raises_on_a_corrupted_lift(monkeypatch):
+    real = aprank.lift_translate
+    monkeypatch.setattr(aprank, "lift_translate",
+                        lambda cps, t: tuple(x + F(1, 3) for x in real(cps, t)))
+    expr = meyer_expr(fib(), [([F(1, 3)], Box([F(0)], [F(1, 2)]))])
+    with pytest.raises(VerificationFailed):
+        euclideanize(expr)
+
+
+def test_constructions_raise_when_the_rank_check_fails(monkeypatch):
+    monkeypatch.setattr(aprank, "ap_rank", lambda ap: 0)
+    with pytest.raises(VerificationFailed):
+        li_ap_in_model_set(fib(), UNIT, 2)
+    with pytest.raises(VerificationFailed):
+        li_ap_in_meyer(meyer_expr(fib(), [(None, UNIT)]), 2)
+    with pytest.raises(VerificationFailed):
+        mono_li_ap(fib(), UNIT, 1, lambda z: 0)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +223,33 @@ def test_coloring_round_trip():
                             [(i, j) for i in range(3) for j in range(3)]})
     again = parse_coloring(format_coloring(c))
     assert again.colors == c.colors and again.cube_size == 2
+
+
+_CORRUPTED_LIFT = """
+import sys
+from fractions import Fraction
+from apmeyer import aprank, cli
+assert sys.flags.optimize, "run me under python -O"
+real = aprank.lift_translate
+aprank.lift_translate = lambda cps, t: tuple(x + Fraction(1, 3) for x in real(cps, t))
+sys.exit(cli.main(["euclideanize", "--expr", sys.argv[1]]))
+"""
+
+
+def test_euclideanize_fails_under_optimize_with_a_corrupted_lift(tmp_path):
+    # `python -O` strips asserts; the verification must still refuse the
+    # wrong window [2/3, 7/6] that the shifted lift produces
+    expr = meyer_expr(builtin("fibonacci"), [([F(1, 3)], Box([F(0)], [F(1, 2)]))])
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr_to_dict(expr)))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_LIFT, str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "fail"
+    assert "verification failed" in report["result"]["error"]
+    assert "window" not in report["result"]

@@ -1,14 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmeyer.cps import (
+    DEFAULT_BUDGET,
     Ball,
     Box,
     CutProjectScheme,
     ShiftedUnion,
+    _interval_dot,
     builtin,
     delone_certificate,
     enumerate_model_set,
@@ -211,6 +214,144 @@ def test_enumeration_equals_brute_force_filter(lo_num, width_num, radius):
             if window.contains(p.internal) and Ball([F(0)], F(radius * radius)).contains(p.physical):
                 expected.append((a, b))
     assert [p.coords for p in pts] == sorted(expected)
+
+
+# -- slab enumeration against the bounding-box scan ------------------------------
+#
+# The oracle is the enumerator this library used before slab enumeration: scan
+# every integer point of the bounding box and filter by exact membership.
+
+def bounding_box(cps, window, region):
+    """Integer coordinate ranges: region x window brackets under the inverse."""
+    rlo, rhi = region.rational_bounds()
+    wlo, whi = window.rational_bounds()
+    los, his = rlo + wlo, rhi + whi
+    ranges = []
+    for row in cps.inverse_matrix():
+        lo, hi = _interval_dot(row, los, his)
+        ranges.append(range(lo.__ceil__(), hi.__floor__() + 1))
+    return ranges
+
+
+def box_and_filter(cps, window, region, budget=DEFAULT_BUDGET):
+    ranges = []
+    total = 1
+    for r in bounding_box(cps, window, region):
+        if not r:
+            return []
+        ranges.append(r)
+        total *= len(r)
+        if total > budget:
+            raise BudgetExceeded(f"integer bounding box of size {total} exceeds budget {budget}")
+    points = []
+    for z in product(*ranges):
+        p = cps.star(z)
+        if region.contains(p.physical) and window.contains(p.internal):
+            points.append(p)
+    points.sort(key=lambda p: p.coords)
+    return points
+
+
+def _mixed_ammann_beenker():
+    # generators mixed by a unimodular matrix whose last row is all ones, so
+    # every constraint row has its last nonzero coefficient in the last column
+    ab = builtin("ammann_beenker")
+    g = ab.generators
+    last = tuple(sum(col, QuadScalar(0)) for col in zip(*g))
+    return CutProjectScheme(2, 2, 2, [g[0], g[1], g[2], last], density="proved",
+                            name="ammann_beenker_mixed")
+
+
+SLAB_SCHEMES = {
+    "fibonacci": fib(),
+    "silver_mean": builtin("silver_mean"),
+    "ammann_beenker": builtin("ammann_beenker"),
+    "ammann_beenker_mixed": _mixed_ammann_beenker(),
+    "integer_lattice(2)": builtin("integer_lattice(2)"),
+}
+
+# half-width of the physical region per physical dimension
+_REGION_HALF = {1: [F(3), F(6), F(10)], 2: [F(1), F(2), F(3)]}
+
+
+@st.composite
+def _scalar(draw, D):
+    """a/2 + b/2*sqrt(D): endpoints that can coincide with stars of points."""
+    return QuadScalar(F(draw(st.integers(-3, 3)), 2), F(draw(st.integers(-1, 1)), 2), D)
+
+
+@st.composite
+def _region(draw, d):
+    center = [F(draw(st.integers(-4, 4)), 3) for _ in range(d)]
+    half = draw(st.sampled_from(_REGION_HALF[d]))
+    if draw(st.booleans()):
+        return Box([c - half for c in center], [c + half for c in center])
+    return Ball(center, half * half)
+
+
+@st.composite
+def _box_window(draw, m, D):
+    lo = [draw(_scalar(D)) for _ in range(m)]
+    widths = [F(draw(st.integers(1, 4)), 2) for _ in range(m)]
+    flags = st.lists(st.booleans(), min_size=m, max_size=m)
+    return Box(lo, [a + w for a, w in zip(lo, widths)], draw(flags), draw(flags))
+
+
+@st.composite
+def _window(draw, m, D):
+    kind = draw(st.sampled_from(["box", "ball", "union"]))
+    if kind == "box":
+        return draw(_box_window(m, D))
+    if kind == "ball":
+        center = [draw(_scalar(D)) for _ in range(m)]
+        return Ball(center, F(draw(st.integers(1, 8)), 4))
+    parts = []
+    for _ in range(2):
+        shift = tuple(F(draw(st.integers(-4, 4)), 2) for _ in range(m))
+        parts.append((shift, draw(_box_window(m, D))))
+    return ShiftedUnion(parts)
+
+
+@st.composite
+def _slab_case(draw):
+    name = draw(st.sampled_from(sorted(SLAB_SCHEMES)))
+    cps = SLAB_SCHEMES[name]
+    window = draw(_window(cps.m, cps.D)) if cps.m else trivial_window()
+    return name, window, draw(_region(cps.d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_slab_case())
+def test_slab_enumeration_equals_box_and_filter(case):
+    name, window, region = case
+    cps = SLAB_SCHEMES[name]
+    got = enumerate_model_set(cps, window, region)
+    want = box_and_filter(cps, window, region)
+    assert [p.coords for p in got] == [p.coords for p in want]
+    assert [p.physical for p in got] == [p.physical for p in want]
+    assert [p.internal for p in got] == [p.internal for p in want]
+
+
+def test_slab_enumeration_mixed_ammann_beenker_is_nonempty():
+    # guards the differential test above against comparing empty lists only
+    window = Box([F(-2), F(-2)], [F(2), F(2)])
+    region = Box([F(-2), F(-2)], [F(2), F(2)])
+    cps = SLAB_SCHEMES["ammann_beenker_mixed"]
+    got = enumerate_model_set(cps, window, region)
+    assert len(got) > 9
+    assert [p.coords for p in got] == [p.coords for p in box_and_filter(cps, window, region)]
+
+
+def test_enumerate_budget_is_the_bounding_box_size():
+    window = Box([F(0)], [F(1)])
+    region = Ball([F(1, 3)], F(400))
+    size = 1
+    for r in bounding_box(fib(), window, region):
+        size *= len(r)
+    pts = enumerate_model_set(fib(), window, region, budget=size)
+    assert [p.coords for p in pts] == [p.coords for p in box_and_filter(fib(), window, region)]
+    with pytest.raises(BudgetExceeded):
+        enumerate_model_set(fib(), window, region, budget=size - 1)
 
 
 def test_trivial_window_degenerate_scheme():
