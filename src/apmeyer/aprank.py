@@ -30,7 +30,7 @@ from .cps import (
     refine_lattice,
     trivial_window,
 )
-from .errors import BudgetExceeded, NotInLattice, RankGapError, VerificationFailed
+from .errors import BudgetExceeded, NotInLattice, RankGapError, verify
 from .exact import (
     IntEchelon,
     QuadScalar,
@@ -41,14 +41,17 @@ from .exact import (
     sqrt_lower,
     sqrt_upper,
 )
-from .progression import ArithmeticProgression, ap_points, ap_rank, brute_force_li_ap
-from .vdw import CubeColoring, find_mono_grid
+from .progression import ArithmeticProgression, ap_rank, brute_force_li_ap, verify_ap
+from .vdw import mono_subprogression
 
 
-def _verify(ok: bool, message: str) -> None:
-    """Exact re-verification guard; unlike `assert`, it survives `python -O`."""
-    if not ok:
-        raise VerificationFailed(message)
+def _verified(ap, member, rank, budget):
+    """`ap` after exact re-verification: every point satisfies `member` and
+    the ratios have the given rank; raises `VerificationFailed` otherwise."""
+    verify(verify_ap(ap, member, budget=budget),
+           "progression point failed its exact membership check")
+    verify(ap_rank(ap) == rank, "progression rank is below d+m")
+    return ap
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +237,8 @@ def shrink_window(window: Box, factor: int) -> tuple[Box, Box]:
     u = Box(u_lo, u_hi, (False,) * n, (False,) * n)
     v = Box(v_lo, v_hi, (False,) * n, (False,) * n)
     for ul, uh, vl, vh, wl, wh in zip(u_lo, u_hi, v_lo, v_hi, window.lo, window.hi):
-        _verify((ul + factor * vl - wl).sign() >= 0, "U + factor*V leaves the window")
-        _verify((wh - (uh + factor * vh)).sign() >= 0, "U + factor*V leaves the window")
+        verify((ul + factor * vl - wl).sign() >= 0, "U + factor*V leaves the window")
+        verify((wh - (uh + factor * vh)).sign() >= 0, "U + factor*V leaves the window")
     return u, v
 
 
@@ -433,14 +436,13 @@ def li_ap_in_model_set(cps, window, length, anchor=None,
 
     ap = ArithmeticProgression(base.coords, tuple(r.coords for r in ratios), length)
     radius_sq = radius * radius
-    for p in ap_points(ap, budget):
-        pt = cps.star(p)
-        if cps.m:
-            _verify(window.contains(pt.internal), "exact membership check failed")
-        _verify((_dist_sq(pt.physical, anchor) - radius_sq).sign() <= 0,
-                "progression point outside the certified ball")
-    _verify(ap_rank(ap) == cps.d + cps.m, "progression rank is below d+m")
-    return ap, radius
+
+    def member(z):
+        pt = cps.star(z)
+        return ((not cps.m or window.contains(pt.internal))
+                and (_dist_sq(pt.physical, anchor) - radius_sq).sign() <= 0)
+
+    return _verified(ap, member, cps.d + cps.m, budget), radius
 
 
 def mono_li_ap(cps, window, depth, coloring, anchor=None,
@@ -453,35 +455,18 @@ def mono_li_ap(cps, window, depth, coloring, anchor=None,
     n = max(depth, 1)
     for _ in range(12):
         ap, _ = li_ap_in_model_set(cps, window, n, anchor, resolution, budget)
-        colors = {}
-        for c in ap.coefficient_cube():
-            col = coloring(ap.point(c))
-            if col is None:
-                raise ValueError(f"coloring undefined on progression point {ap.point(c)}")
-            colors[c] = col
-        palette = sorted(set(colors.values()), key=repr)
-        index = {col: i for i, col in enumerate(palette)}
-        cube = CubeColoring(n, ap.dimension, {c: index[v] for c, v in colors.items()})
-        grid = find_mono_grid(cube, depth)
-        if grid is not None:
-            base = ap.base
-            for l, r in zip(grid.offsets, ap.ratios):
-                if l:
-                    base = tuple(x + l * y for x, y in zip(base, r))
-            ratios = tuple(
-                tuple(k * x for x in r) for k, r in zip(grid.steps, ap.ratios)
-            )
-            out = ArithmeticProgression(base, ratios, depth)
-            out_colors = {coloring(p) for p in ap_points(out, budget)}
-            _verify(len(out_colors) == 1, "output progression is not monochromatic")
-            _verify(ap_rank(out) == cps.d + cps.m, "progression rank is below d+m")
-            if cps.m:
-                for p in ap_points(out, budget):
-                    _verify(window.contains(cps.star(p).internal),
-                            "exact membership check failed")
-            return out
+        found = mono_subprogression(ap, coloring, depth)
+        if found is not None:
+            break
         n *= 2
-    raise BudgetExceeded("monochromatic search exhausted its deepening budget")
+    else:
+        raise BudgetExceeded("monochromatic search exhausted its deepening budget")
+    out, color = found
+
+    def member(z):
+        return coloring(z) == color and (not cps.m or window.contains(cps.star(z).internal))
+
+    return _verified(out, member, cps.d + cps.m, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +494,7 @@ def li_ap_in_meyer(expr: MeyerExpr, length, anchor=None,
     else:
         base = ExprPoint(tuple(Fraction(c) + tc for c, tc in zip(ap0.base, t.coords)))
     out = ArithmeticProgression(base, ap0.ratios, length, kind="module")
-    for p in ap_points(out, budget):
-        _verify(expr_contains(expr, p), "translated progression left the expression")
-    _verify(ap_rank(out) == cps.d + cps.m, "progression rank is below d+m")
-    return out
+    return _verified(out, lambda p: expr_contains(expr, p), cps.d + cps.m, budget)
 
 
 @dataclass(frozen=True)
@@ -612,7 +594,7 @@ def euclideanize(expr: MeyerExpr, sample_halfwidth=Fraction(20),
         parts.append((g, branch.window))
     window2 = ShiftedUnion(parts).simplify()
     report = verify_euclideanization(expr, refined, window2, sample_halfwidth, budget)
-    _verify(report["violations"] == 0, "euclideanization verification failed")
+    verify(report["violations"] == 0, "euclideanization verification failed")
     return refined, window2, report
 
 

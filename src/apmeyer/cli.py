@@ -40,12 +40,8 @@ def _input_ref(spec: str) -> object:
         return spec  # builtin name or inline literal
 
 
-def _emit(report: dict, out_path=None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+def _emit(report: dict) -> None:
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _point_payload(cps, point) -> dict:
@@ -54,10 +50,6 @@ def _point_payload(cps, point) -> dict:
         "physical": [_dual(x) for x in point.physical],
         "internal": [_dual(x) for x in point.internal],
     }
-
-
-def _ap_payload(ap) -> dict:
-    return _files.ap_to_dict(ap)
 
 
 def _parse_anchor(text, d):
@@ -147,7 +139,7 @@ def _cmd_find_ap(args) -> tuple[dict, int]:
             cps, window, args.length, anchor, budget=args.budget
         )
     result = {
-        "progression": _ap_payload(ap),
+        "progression": _files.ap_to_dict(ap),
         "rank": _prog.ap_rank(ap),
         "length": ap.length,
     }
@@ -191,7 +183,7 @@ def _cmd_aprank(args) -> tuple[dict, int]:
         "upper_tag": bracket.upper_tag,
         "tested_lengths": list(bracket.tested_lengths),
         "certificates": [
-            {"length": n, "progression": _ap_payload(ap)} for n, ap in bracket.certificates
+            {"length": n, "progression": _files.ap_to_dict(ap)} for n, ap in bracket.certificates
         ],
         "sample_module_rank": _aprank.sample_module_rank(expr),
     }
@@ -347,7 +339,7 @@ def main(argv=None) -> int:
         if found != args.rank_target:
             report["status"] = "fail"
             code = 1
-    _emit(report, getattr(args, "out", None) if args.command not in ("gen", "euclideanize", "example") else None)
+    _emit(report)
     return code
 
 

@@ -29,6 +29,7 @@ from .exact import (
     flatten_vector,
     quad_bounds,
     rank_over_Q,
+    row_reduce,
     solve_columns,
     sqrt_upper,
 )
@@ -263,36 +264,25 @@ class CutProjectScheme:
     def physical_part(self, gen) -> tuple[QuadScalar, ...]:
         return gen[: self.d]
 
-    def internal_part(self, gen) -> tuple[QuadScalar, ...]:
-        return gen[self.d:]
+    def _combine(self, coords, lo, hi) -> list[QuadScalar]:
+        """Axes lo..hi-1 of the exact generator combination sum_j c_j g_j."""
+        total = [QuadScalar(0)] * (hi - lo)
+        for c, gen in zip(coords, self.generators):
+            if c:
+                for i, x in enumerate(gen[lo:hi]):
+                    total[i] = total[i] + c * x
+        return total
 
     def star(self, coords) -> LatticePoint:
         z = tuple(int(c) for c in coords)
-        if len(z) != self.d + self.m:
+        n = self.d + self.m
+        if len(z) != n:
             raise ValueError("coordinate dimension mismatch")
-        total = [QuadScalar(0)] * (self.d + self.m)
-        for c, gen in zip(z, self.generators):
-            if c:
-                for i, x in enumerate(gen):
-                    total[i] = total[i] + c * x
+        total = self._combine(z, 0, n)
         return LatticePoint(z, tuple(total[: self.d]), tuple(total[self.d:]))
 
-    def physical_of(self, coords) -> tuple[QuadScalar, ...]:
-        """Physical part for possibly rational coordinates."""
-        total = [QuadScalar(0)] * self.d
-        for c, gen in zip(coords, self.generators):
-            if c:
-                for i in range(self.d):
-                    total[i] = total[i] + c * gen[i]
-        return tuple(total)
-
     def internal_of(self, coords) -> tuple[QuadScalar, ...]:
-        total = [QuadScalar(0)] * self.m
-        for c, gen in zip(coords, self.generators):
-            if c:
-                for i in range(self.m):
-                    total[i] = total[i] + c * gen[self.d + i]
-        return tuple(total)
+        return tuple(self._combine(coords, self.d, self.d + self.m))
 
     # -- exact inverse of the generator matrix ------------------------------
 
@@ -301,25 +291,16 @@ class CutProjectScheme:
         if self._inverse is not None:
             return self._inverse
         n = self.d + self.m
-        # column j of G is generator j
-        A = [[self.generators[j][i] for j in range(n)] for i in range(n)]
-        I = [[QuadScalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            sel = next((r for r in range(col, n) if A[r][col]), None)
-            if sel is None:
-                raise ValueError("generators do not form a lattice (singular matrix)")
-            A[col], A[sel] = A[sel], A[col]
-            I[col], I[sel] = I[sel], I[col]
-            pv = A[col][col]
-            A[col] = [x / pv for x in A[col]]
-            I[col] = [x / pv for x in I[col]]
-            for r in range(n):
-                if r != col and A[r][col]:
-                    f = A[r][col]
-                    A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-                    I[r] = [x - f * y for x, y in zip(I[r], I[col])]
-        self._inverse = I
-        return I
+        # [G | I] with column j of G the generator j; reduced, it is [I | G^-1]
+        rows = [
+            [self.generators[j][i] for j in range(n)]
+            + [QuadScalar(1 if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        if len(row_reduce(rows, n)) < n:
+            raise ValueError("generators do not form a lattice (singular matrix)")
+        self._inverse = [row[n:] for row in rows]
+        return self._inverse
 
     def key(self):
         return (

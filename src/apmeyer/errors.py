@@ -37,6 +37,12 @@ class VerificationFailed(ApMeyerError):
     """A constructed object failed its exact re-verification."""
 
 
+def verify(ok: bool, message: str) -> None:
+    """Exact re-verification guard; unlike `assert`, it survives `python -O`."""
+    if not ok:
+        raise VerificationFailed(message)
+
+
 class RankGapError(ApMeyerError):
     """Euclideanization refused: some translate is independent of the lattice span."""
 

@@ -276,14 +276,6 @@ def quad_sign(x) -> int:
     return as_quad(x).sign()
 
 
-def floor_quad(x) -> int:
-    return as_quad(x).__floor__()
-
-
-def ceil_quad(x) -> int:
-    return as_quad(x).__ceil__()
-
-
 def quad_bounds(x, bits: int = 32) -> tuple[Fraction, Fraction]:
     return as_quad(x).bounds(bits)
 
@@ -609,9 +601,10 @@ def module_contains(mat, target) -> bool:
         raise ValueError("dimension mismatch")
     S, _, V = smith_normal_form(rows)
     w = [sum(v[i] * V[i][j] for i in range(len(v))) for j in range(len(v))]
-    r = len(smith_divisors(rows))
+    diagonal = min(len(S), len(S[0]))
+    r = sum(1 for j in range(diagonal) if S[j][j])
     for j in range(len(v)):
-        d = S[j][j] if j < min(len(S), len(S[0])) else 0
+        d = S[j][j] if j < diagonal else 0
         if j < r:
             if w[j] % d:
                 return False
@@ -620,7 +613,34 @@ def module_contains(mat, target) -> bool:
     return True
 
 
-# -- exact rational linear solve --------------------------------------------
+# -- exact linear solves ----------------------------------------------------
+
+def row_reduce(rows, ncols: int) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination, in place, over Fractions or QuadScalars.
+
+    The first `ncols` columns are brought to reduced row echelon form; the
+    columns after them (a right-hand side, an identity block) ride along.
+    Returns the (row, column) pivot positions in order.
+    """
+    m = len(rows)
+    pivots: list[tuple[int, int]] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
+        sel = next((i for i in range(row, m) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[row], rows[sel] = rows[sel], rows[row]
+        pv = rows[row][col]
+        rows[row] = [x / pv for x in rows[row]]
+        for i in range(m):
+            if i != row and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[row])]
+        pivots.append((row, col))
+    return pivots
+
 
 def solve_columns(columns, target):
     """Solve sum_j x_j * columns[j] = target over Q.
@@ -637,24 +657,8 @@ def solve_columns(columns, target):
             raise ValueError("dimension mismatch")
     # augmented row-major matrix
     A = [[cols[j][i] for j in range(n)] + [b[i]] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        sel = next((i for i in range(row, m) if A[i][col] != 0), None)
-        if sel is None:
-            continue
-        A[row], A[sel] = A[sel], A[row]
-        pv = A[row][col]
-        A[row] = [x / pv for x in A[row]]
-        for i in range(m):
-            if i != row and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
+    pivots = row_reduce(A, n)
+    for i in range(len(pivots), m):
         if A[i][n] != 0:
             return None
     x = [Fraction(0)] * n

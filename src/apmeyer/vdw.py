@@ -4,7 +4,8 @@ A depth-n grid in {0..N}^d is the set (l_j + m_j k_j) over m in {0..n}^d,
 i.e. an axis-aligned progression with k+1 points per axis.  find_mono_grid is
 the exhaustive engine behind every van der Waerden style argument here; no
 numeric bound is ever evaluated, callers escalate the cube size until the
-search succeeds.
+search succeeds.  mono_subprogression is the one coloring step built on it,
+shared by transfer_ap and aprank.mono_li_ap.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import NoMonoGrid
+from .errors import NoMonoGrid, verify
 from .progression import ArithmeticProgression, _add, _scale, ap_points, ap_rank
 
 
@@ -87,9 +88,39 @@ def find_mono_grid(coloring: CubeColoring, depth: int):
             pts = grid_points(grid)
             color = coloring.colors[pts[0]]
             if all(coloring.colors[p] == color for p in pts[1:]):
-                assert all(max(p) <= n for p in pts)
+                verify(all(max(p) <= n for p in pts), "grid leaves the cube")
                 return grid
     return None
+
+
+def mono_subprogression(ap: ArithmeticProgression, color, depth: int):
+    """Monochromatic depth-`depth` sub-progression of `ap` as (sub, color), or None.
+
+    The coefficient cube is colored by `color(ap.point(c))`, which must be
+    total on the progression; a monochromatic grid (offsets l, steps k) gives
+    base' = ap.point(l), ratios' = k_j r_j.  The result is re-verified: its
+    source cells share the color, its points are the grid's input points and
+    its rank is unchanged.  None means no grid: retry with a longer progression.
+    """
+    colors = {}
+    for c in ap.coefficient_cube():
+        p = ap.point(c)
+        col = color(p)
+        if col is None:
+            raise ValueError(f"coloring undefined on progression point {p}")
+        colors[c] = col
+    grid = find_mono_grid(CubeColoring(ap.length, ap.dimension, colors), depth)
+    if grid is None:
+        return None
+    source = grid_points(grid)
+    winner = colors[source[0]]
+    ratios = tuple(_scale(r, k) for r, k in zip(ap.ratios, grid.steps))
+    sub = ArithmeticProgression(ap.point(grid.offsets), ratios, depth, kind=ap.kind)
+    verify(all(colors[c] == winner for c in source), "grid is not monochromatic")
+    verify(set(ap_points(sub)) == {ap.point(c) for c in source},
+           "sub-progression points are not the grid's input points")
+    verify(ap_rank(sub) == ap_rank(ap), "sub-progression lost rank")
+    return sub, winner
 
 
 def transfer_ap(ap: ArithmeticProgression, decompose, translates, target_depth: int):
@@ -97,51 +128,28 @@ def transfer_ap(ap: ArithmeticProgression, decompose, translates, target_depth: 
 
     `decompose` maps each progression point to the index of a translate f_j
     with point - f_j in the target set; it must be total on the progression.
-    The coefficient cube is colored by translate index; a monochromatic grid
-    of the requested depth rebases the progression into the winning translate:
+    Colored by translate index, its monochromatic sub-progression
+    (`mono_subprogression`) is shifted into the winning translate:
     base' = s + sum(l_j r_j) - f, ratios' = k_j r_j.
 
     Raises NoMonoGrid when the input progression is too short (callers retry
     with a longer progression, typically by doubling).
     """
     translates = [tuple(t) if isinstance(t, (tuple, list)) else (t,) for t in translates]
-    colors = {}
-    for c in ap.coefficient_cube():
-        idx = decompose(ap.point(c))
-        if idx is None:
-            raise ValueError(f"decompose is not total: no translate for coefficients {c}")
-        if not 0 <= idx < len(translates):
+
+    def translate_index(p):
+        idx = decompose(p)
+        if idx is not None and not 0 <= idx < len(translates):
             raise ValueError(f"decompose returned invalid translate index {idx}")
-        colors[c] = idx
-    coloring = CubeColoring(ap.length, ap.dimension, colors)
-    grid = find_mono_grid(coloring, target_depth)
-    if grid is None:
+        return idx
+
+    found = mono_subprogression(ap, translate_index, target_depth)
+    if found is None:
         raise NoMonoGrid(
             f"no monochromatic depth-{target_depth} grid in the {ap.length}-cube; "
             "retry with a longer progression"
         )
-    winner = colors[grid_points(grid)[0]]
-    f = translates[winner]
-    base = ap.base
-    for l, r in zip(grid.offsets, ap.ratios):
-        if l:
-            base = base + _scale(r, l) if not isinstance(base, tuple) else _add(base, _scale(r, l))
-    base = base + _scale(f, -1) if not isinstance(base, tuple) else _add(base, _scale(f, -1))
-    ratios = tuple(_scale(r, k) for r, k in zip(ap.ratios, grid.steps))
-    out = ArithmeticProgression(base, ratios, target_depth, kind=ap.kind)
-
-    # every output point is an input point of the winning color, shifted by -f
-    source = {
-        tuple(l + m * k for l, m, k in zip(grid.offsets, ms, grid.steps))
-        for ms in product(range(target_depth + 1), repeat=ap.dimension)
-    }
-    for c in source:
-        assert colors[c] == winner
-    assert ap_rank(out) == ap_rank(ap)
-    expected = set()
-    for c in source:
-        p = ap.point(c)
-        p = _add(p, _scale(f, -1)) if isinstance(p, tuple) else p + _scale(f, -1)
-        expected.add(p)
-    assert set(ap_points(out)) == expected
-    return out
+    sub, winner = found
+    shift = _scale(translates[winner], -1)
+    base = _add(sub.base, shift) if isinstance(sub.base, tuple) else sub.base + shift
+    return ArithmeticProgression(base, sub.ratios, target_depth, kind=ap.kind)

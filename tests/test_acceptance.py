@@ -41,6 +41,7 @@ from apmeyer.cps import (
     trivial_window,
 )
 from apmeyer.errors import NoMonoGrid, RankGapError
+from apmeyer.files import ap_to_dict
 from apmeyer.exact import (
     QuadScalar,
     flatten_vector,
@@ -328,6 +329,11 @@ def test_criterion_10_transfer_machinery():
             n_prime *= 2
     assert out is not None, "iterative doubling never succeeded"
     assert out.length == 2 and ap_rank(out) == 2
+    # pinned exact output: base -f + sum(l_j r_j), ratios k_j r_j
+    assert n_prime == 4 and ap_to_dict(out) == {
+        "base": ["-3", "-6"], "ratios": [["13", "21"], ["42", "68"]],
+        "length": 2, "coordinate_kind": "lattice",
+    }
     # output lies fully inside one branch: shifted back by the winning
     # translate, every point is in the base model set
     winners = [

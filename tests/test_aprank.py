@@ -28,6 +28,7 @@ from apmeyer.aprank import (
 from apmeyer.cps import Ball, Box, builtin, trivial_window
 from apmeyer.errors import BudgetExceeded, NotInLattice, RankGapError, VerificationFailed
 from apmeyer.exact import QuadScalar
+from apmeyer.files import ap_to_dict
 from apmeyer.progression import ap_points, ap_rank, verify_ap
 
 F = Fraction
@@ -233,6 +234,19 @@ def test_mono_li_ap_parity_coloring():
     s = fib()
     for p in ap_points(ap):
         assert UNIT.contains(s.star(p).internal)
+
+
+@pytest.mark.parametrize("scheme, window, coloring, expected", [
+    ("fibonacci", UNIT, lambda z: z[0] % 2,
+     {"base": ["0", "-1"], "ratios": [["26", "42"], ["42", "68"]]}),
+    ("silver_mean", Box([F(0)], [F(3, 2)]), lambda z: (z[0] + z[1]) % 2,
+     {"base": ["1", "0"], "ratios": [["10", "24"], ["7", "17"]]}),
+])
+def test_mono_li_ap_exact_output(scheme, window, coloring, expected):
+    # pinned outputs: the grid search, the rebasing and the anchor choice
+    # must not move the depth-2 progression
+    ap = mono_li_ap(builtin(scheme), window, 2, coloring)
+    assert ap_to_dict(ap) == {**expected, "length": 2, "coordinate_kind": "lattice"}
 
 
 def test_mono_li_ap_rejects_partial_coloring():

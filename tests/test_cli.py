@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -253,3 +254,15 @@ def test_euclideanize_fails_under_optimize_with_a_corrupted_lift(tmp_path):
     assert report["status"] == "fail"
     assert "verification failed" in report["result"]["error"]
     assert "window" not in report["result"]
+
+
+def test_library_has_no_assert():
+    # `python -O` strips `assert`, so no library check may rest on one
+    src = Path(__file__).resolve().parents[1] / "src" / "apmeyer"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

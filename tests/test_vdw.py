@@ -1,8 +1,19 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from apmeyer.errors import NoMonoGrid
 from apmeyer.progression import ArithmeticProgression, ap_points, ap_rank
-from apmeyer.vdw import CubeColoring, Grid, find_mono_grid, grid_points, transfer_ap
+from apmeyer.vdw import (
+    CubeColoring,
+    Grid,
+    find_mono_grid,
+    grid_points,
+    mono_subprogression,
+    transfer_ap,
+)
 
 
 def coloring_1d(bits: str) -> CubeColoring:
@@ -77,6 +88,15 @@ def test_coloring_must_be_total():
 
 # -- transfer ---------------------------------------------------------------------
 
+def test_mono_subprogression_returns_the_winning_color_and_keeps_the_kind():
+    ap = ArithmeticProgression((0,), ((1,),), 8, kind="module")
+    sub, color = mono_subprogression(ap, lambda p: p[0] % 2, 2)
+    assert sub == ArithmeticProgression((0,), ((2,),), 2, kind="module")
+    assert color == 0
+    blocked = ArithmeticProgression((0,), ((1,),), 7)
+    assert mono_subprogression(blocked, lambda p: "01100110"[p[0]], 2) is None
+
+
 def test_transfer_single_translate_is_a_shift():
     ap = ArithmeticProgression((10,), ((3,),), 4)
     out = transfer_ap(ap, lambda p: 0, [(7,)], 2)
@@ -144,3 +164,28 @@ def test_transfer_iterative_doubling_eventually_succeeds():
     else:
         raise AssertionError("doubling never succeeded")
     assert out.length == 2
+
+
+_NON_MONOCHROMATIC_GRID = """
+import sys
+from apmeyer import vdw
+from apmeyer.progression import ArithmeticProgression
+assert sys.flags.optimize, "run me under python -O"
+vdw.find_mono_grid = lambda coloring, depth: vdw.Grid((0,), (1,), 2)
+ap = ArithmeticProgression((0,), ((1,),), 4)
+print(vdw.transfer_ap(ap, lambda p: p[0] % 2, [(0,), (1,)], 2))
+"""
+
+
+def test_transfer_fails_under_optimize_with_a_non_monochromatic_grid():
+    # `python -O` strips asserts; the grid 0, 1, 2 mixes both parities, so
+    # the transfer must still refuse it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _NON_MONOCHROMATIC_GRID],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert "VerificationFailed" in proc.stderr
+    assert proc.stdout == ""
