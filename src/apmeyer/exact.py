@@ -1,10 +1,13 @@
 """Exact scalars and exact integer/rational linear algebra.
 
 Rationals are ``fractions.Fraction``.  Real quadratic irrationals a + b*sqrt(D)
-(D a fixed square-free positive integer) are ``QuadScalar``; all sign queries,
-comparisons and floors are decided exactly through integer arithmetic, never
-through floating point.  On top of the scalars this module provides the exact
-linear algebra the rest of the library reduces to: rank over Q by
+(D a fixed square-free integer greater than 1) are ``QuadScalar``.  Sign
+queries, comparisons, floors and decimal output write the value as
+(P + Q*sqrt(D))/R with integers P, Q and R > 0 and are decided over the
+integers with ``math.isqrt``, never through floating point: sqrt(D) is
+irrational, so floor(Q*sqrt(D)) is isqrt(Q*Q*D) for Q > 0 and
+-isqrt(Q*Q*D) - 1 for Q < 0.  On top of the scalars this module provides the
+exact linear algebra the rest of the library reduces to: rank over Q by
 fraction-free elimination, greedy maximal independent subsets, Smith normal
 form with transform tracking, and the submodule multiplier (the least n with
 n*M inside a finite-index submodule, read off the largest elementary divisor).
@@ -24,8 +27,8 @@ _SQUAREFREE_CHECKED: set[int] = set()
 def _require_squarefree(d: int) -> None:
     if d in _SQUAREFREE_CHECKED:
         return
-    if d <= 0:
-        raise ValueError(f"quadratic radicand must be positive, got {d}")
+    if d <= 1:
+        raise ValueError(f"quadratic radicand must be greater than 1, got {d}")
     k = 2
     while k * k <= d:
         if d % (k * k) == 0:
@@ -76,9 +79,11 @@ class QuadScalar:
     __slots__ = ("a", "b", "D")
 
     def __init__(self, a=0, b=0, D=0):
-        a = Fraction(a)
-        b = Fraction(b)
-        if b == 0:
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
+        if not b:
             D = 0
         else:
             D = int(D)
@@ -121,12 +126,14 @@ class QuadScalar:
         other = QuadScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return QuadScalar(self.a - other.a, self.b - other.b, self._join(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int:
+            return QuadScalar(self.a * other, self.b * other, self.D)
         other = QuadScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -167,16 +174,14 @@ class QuadScalar:
 
     def sign(self) -> int:
         """Sign of the real number, via integer comparison of a^2 and b^2 D."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # opposite signs: |a| vs |b| sqrt(D) decided on squares
-        t = self.a * self.a - self.b * self.b * self.D
+        an, ad = self.a.numerator, self.a.denominator
+        bn, bd = self.b.numerator, self.b.denominator
+        sa = (an > 0) - (an < 0)
+        sb = (bn > 0) - (bn < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: |a| vs |b| sqrt(D) decided on integer squares
+        t = an * an * bd * bd - bn * bn * self.D * ad * ad
         return sa * ((t > 0) - (t < 0))
 
     def __bool__(self):
@@ -236,17 +241,25 @@ class QuadScalar:
     def __float__(self):
         return float(self.a) + float(self.b) * (self.D ** 0.5)
 
+    def _floor_scaled(self, k: int) -> int:
+        """floor(self * 10**k), exactly, over the integers."""
+        an, ad = self.a.numerator, self.a.denominator
+        bn, bd = self.b.numerator, self.b.denominator
+        # self = (P + Q*sqrt(D)) / R
+        P, Q, R = an * bd, bn * ad, ad * bd
+        if k >= 0:
+            scale = 10 ** k
+            P, Q = P * scale, Q * scale
+        else:
+            R *= 10 ** -k
+        if Q > 0:
+            P += isqrt(Q * Q * self.D)
+        elif Q < 0:
+            P -= isqrt(Q * Q * self.D) + 1
+        return P // R
+
     def __floor__(self):
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        bits = 32
-        while True:
-            lo, hi = self.bounds(bits)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                return flo
-            bits *= 2
+        return self._floor_scaled(0)
 
     def __ceil__(self):
         return -((-self).__floor__())
@@ -289,16 +302,17 @@ def decimal_str(x, digits: int = 20) -> str:
     if not x:
         return "0"
     neg = x.sign() < 0
-    y = abs(x)
-    # find exponent e with 10^e <= y < 10^(e+1)
-    e = 0
-    while y >= Fraction(10) ** (e + 1):
-        e += 1
-    while y < Fraction(10) ** e:
-        e -= 1
-    scaled = y * Fraction(10) ** (digits - 1 - e)
-    n = scaled.__floor__() if isinstance(scaled, QuadScalar) else scaled.numerator // scaled.denominator
-    s = str(n)
+    y = -x if neg else x
+    # exponent e with 10^e <= y < 10^(e+1): the digit count of floor(y)
+    # when y >= 1, else the first e < 0 with floor(y * 10^-e) > 0
+    whole = y._floor_scaled(0)
+    if whole:
+        e = len(str(whole)) - 1
+    else:
+        e = -1
+        while not y._floor_scaled(-e):
+            e -= 1
+    s = str(y._floor_scaled(digits - 1 - e))
     point = e + 1
     if point <= 0:
         body = "0." + "0" * (-point) + s

@@ -192,6 +192,10 @@ def test_bad_inputs_exit_two(capsys):
     capsys.readouterr()
     assert main(["gen", "--cps", "fibonacci", "--region", "|x|<=3"]) == 2
     capsys.readouterr()
+    # sqrt(1) is rational: radicands must be square-free and greater than 1
+    assert main(["gen", "--cps", "integer_lattice(1)",
+                 "--region", "[0-1*sqrt(1),2]"]) == 2
+    capsys.readouterr()
 
 
 # -- parsing helpers ----------------------------------------------------------------

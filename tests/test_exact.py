@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, floor, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +38,48 @@ def test_quad_sign_examples():
     assert quad_sign(QuadScalar(0)) == 0
 
 
+def _sign_oracle(a, b, d):
+    """sign(a + b*sqrt(d)) from the integer bracket r < |Q|*sqrt(d) < r + 1.
+
+    a + b*sqrt(d) has the sign of P + Q*sqrt(d) with P = a*den(a)*den(b) and
+    Q = b*den(a)*den(b); r = isqrt(Q*Q*d) brackets |Q|*sqrt(d) strictly,
+    because sqrt(d) is irrational.
+    """
+    a, b = Fraction(a), Fraction(b)
+    P = a.numerator * b.denominator
+    Q = b.numerator * a.denominator
+    if Q == 0:
+        return (P > 0) - (P < 0)
+    r = isqrt(Q * Q * d)
+    if Q > 0:  # value in (P + r, P + r + 1)
+        return 1 if P + r >= 0 else -1
+    return -1 if P - r <= 0 else 1  # value in (P - r - 1, P - r)
+
+
+def _convergents(d, count):
+    """The first `count` continued-fraction convergents p/q of sqrt(d).
+
+    They alternate around sqrt(d): p - q*sqrt(d) < 0 at even indices, > 0 at
+    odd ones, and |p - q*sqrt(d)| < 1/q.
+    """
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    p_prev, p = 1, a0
+    q_prev, q = 0, 1
+    out = [(p, q)]
+    while len(out) < count:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        out.append((p, q))
+    return out
+
+
+CONVERGENTS = {d: _convergents(d, 40) for d in (2, 3, 5, 7)}
+
+
 def test_quad_sign_matches_float_on_random_values():
     rng = random.Random(20260810)
     for _ in range(10_000):
@@ -49,10 +91,22 @@ def test_quad_sign_matches_float_on_random_values():
         if abs(approx) > 1e-9:  # float is only a sanity cross-check
             assert quad_sign(x) == (1 if approx > 0 else -1)
         else:
-            # near-zero floats: the exact sign must still agree with a
-            # higher-precision evaluation
-            hi = float(a) + float(b) * d ** 0.5
-            assert quad_sign(x) == (0 if a == 0 and b == 0 else quad_sign(x))
+            assert quad_sign(x) == _sign_oracle(a, b, d)
+
+
+def test_quad_sign_of_convergent_differences():
+    # p - q*sqrt(d) shrinks like 1/q: float cancels it to noise, the exact
+    # sign alternates with the convergent's index
+    undecided_by_float = 0
+    for d, convergents in CONVERGENTS.items():
+        for n, (p, q) in enumerate(convergents):
+            expected = 1 if n % 2 else -1
+            for k in (1, 7, 10 ** 20):
+                x = QuadScalar(F(p, k), F(-q, k), d)
+                assert quad_sign(x) == _sign_oracle(x.a, x.b, d) == expected
+                assert quad_sign(-x) == -expected
+                undecided_by_float += (float(x) > 0) - (float(x) < 0) != expected
+    assert undecided_by_float > 0
 
 
 def test_quad_arithmetic_and_order():
@@ -73,6 +127,15 @@ def test_mixed_radicand_rejected():
         QuadScalar(0, 1, 12)  # not square-free
 
 
+def test_radicand_one_rejected():
+    # sqrt(1) = 1 is rational, so QuadScalar(0, 1, 1) would differ from 1
+    # under == and hash while (x - 1).sign() == 0
+    with pytest.raises(ValueError):
+        QuadScalar(0, 1, 1)
+    with pytest.raises(ValueError):
+        parse_quad("0+1*sqrt(1)")
+
+
 def test_sqrt_brackets():
     assert sqrt_upper(F(1, 4)) == F(1, 2)
     assert sqrt_lower(F(1, 4)) == F(1, 2)
@@ -85,6 +148,116 @@ def test_decimal_str():
     assert decimal_str(phi) == "1.6180339887498948482"
     assert decimal_str(QuadScalar(0)) == "0"
     assert decimal_str(QuadScalar(F(-1, 4))) == "-0.25000000000000000000"
+
+
+# -- differential tests against the Fraction kernel ----------------------------
+#
+# The library once decided floor and decimal output on rational brackets of
+# sqrt(D): floor doubled the bracket precision until both ends agreed, and
+# decimal_str located the exponent by comparing with Fraction(10)**e.  Those
+# routines are kept here, on (a, b, D) triples of Fractions, as oracles for
+# the integer kernel.
+
+def _old_sign(a, b, d):
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    if sa == sb:
+        return sa
+    t = a * a - b * b * d
+    return sa * ((t > 0) - (t < 0))
+
+
+def _old_floor(a, b, d):
+    if b == 0:
+        return a.numerator // a.denominator
+    bits = 32
+    while True:
+        s = isqrt(d << (2 * bits))
+        lo, hi = F(s, 1 << bits), F(s + 1, 1 << bits)
+        ends = (a + b * lo, a + b * hi) if b > 0 else (a + b * hi, a + b * lo)
+        flo, fhi = (e.numerator // e.denominator for e in ends)
+        if flo == fhi:
+            return flo
+        bits *= 2
+
+
+def _old_decimal_str(a, b, d, digits):
+    if a == 0 and b == 0:
+        return "0"
+    neg = _old_sign(a, b, d) < 0
+    if neg:
+        a, b = -a, -b
+    e = 0
+    while _old_sign(a - F(10) ** (e + 1), b, d) >= 0:
+        e += 1
+    while _old_sign(a - F(10) ** e, b, d) < 0:
+        e -= 1
+    scale = F(10) ** (digits - 1 - e)
+    s = str(_old_floor(a * scale, b * scale, d))
+    point = e + 1
+    if point <= 0:
+        body = "0." + "0" * (-point) + s
+    elif point >= len(s):
+        body = s + "0" * (point - len(s))
+    else:
+        body = s[:point] + "." + s[point:]
+    return ("-" if neg else "") + body
+
+
+def _quad_values(d):
+    """Values of Q(sqrt(d)): zero, rationals, wide random values, and values
+    just below and above integers and powers of ten (from convergents)."""
+    big = st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+    den = st.integers(min_value=1, max_value=10 ** 15)
+    rational = st.builds(F, big, den)
+    anchor = st.integers(min_value=-1000, max_value=1000).map(F) | st.integers(
+        min_value=-12, max_value=12
+    ).map(lambda j: F(10) ** j)
+
+    def near(anchor, n, side):
+        p, q = CONVERGENTS[d][n]
+        return QuadScalar(anchor + side * p, -side * q, d)
+
+    values = st.one_of(
+        st.just(QuadScalar(0)),
+        rational.map(QuadScalar),
+        st.builds(lambda a, b: QuadScalar(a, b, d), rational, rational),
+        st.builds(near, anchor, st.integers(min_value=0, max_value=39),
+                  st.sampled_from([1, -1])),
+    )
+    return st.builds(lambda x, neg: -x if neg else x, values, st.booleans())
+
+
+_RADICANDS = st.sampled_from([2, 3, 5, 7])
+
+
+@settings(max_examples=250, deadline=None)
+@given(_RADICANDS.flatmap(_quad_values), st.sampled_from([1, 2, 20, 40]))
+def test_decimal_str_matches_fraction_oracle(x, digits):
+    assert decimal_str(x, digits) == _old_decimal_str(x.a, x.b, x.D, digits)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_RADICANDS.flatmap(_quad_values))
+def test_floor_ceil_and_sign_match_fraction_oracle(x):
+    assert floor(x) == _old_floor(x.a, x.b, x.D)
+    assert ceil(x) == -_old_floor(-x.a, -x.b, x.D)
+    assert x.sign() == _old_sign(x.a, x.b, x.D)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RADICANDS.flatmap(lambda d: st.tuples(_quad_values(d), _quad_values(d))))
+def test_order_matches_fraction_oracle(pair):
+    x, y = pair
+    for u, v in ((x, y), (y, x), (x, x)):
+        s = _old_sign(u.a - v.a, u.b - v.b, u.D or v.D)
+        assert (u < v) == (s < 0)
+        assert (u <= v) == (s <= 0)
+        assert (u == v) == (s == 0)
 
 
 # -- parsing -----------------------------------------------------------------
