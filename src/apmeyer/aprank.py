@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import floor, lcm
+from math import lcm
 
 from .cps import (
     Ball,
@@ -24,6 +24,7 @@ from .cps import (
     DEFAULT_BUDGET,
     ShiftedUnion,
     _dist_sq,
+    _nearest_sq,
     enumerate_model_set,
     lift_translate,
     rational_coords,
@@ -304,28 +305,7 @@ def _cover_radius(job: _CoverJob) -> Fraction:
     pts = enumerate_model_set(cps, window, region, budget)
     if not pts:
         raise BudgetExceeded("no model-set point within the certificate span; window too thin")
-    coords = [tuple(float(x) for x in p.physical) for p in pts]
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for i, c in enumerate(coords):
-        buckets.setdefault(tuple(floor(x) for x in c), []).append(i)
-
-    def nearest_sq(fp):
-        cell = tuple(floor(x) for x in fp)
-        best = None
-        radius = 0
-        while True:
-            ring = _cells_at_radius(cell, radius, d)
-            for cc in ring:
-                for i in buckets.get(cc, ()):
-                    dd = sum((a - b) ** 2 for a, b in zip(fp, coords[i]))
-                    if best is None or dd < best:
-                        best = dd
-            if best is not None and (radius - 1) >= best ** 0.5:
-                return best
-            radius += 1
-            if radius > 4 * float(span):
-                return best if best is not None else float("inf")
-
+    nearest = _nearest_sq([p.physical for p in pts])
     steps = int(Fraction(span, 2) / resolution)
     probe_count = (2 * steps + 1) ** d
     if probe_count > budget:
@@ -334,35 +314,12 @@ def _cover_radius(job: _CoverJob) -> Fraction:
     worst_probe = None
     for ks in product(range(-steps, steps + 1), repeat=d):
         probe = tuple(k * resolution for k in ks)
-        fp = tuple(float(x) for x in probe)
-        dd = nearest_sq(fp)
+        dd = nearest(probe)
         if dd > worst:
             worst = dd
             worst_probe = probe
-    # exact nearest at the worst probe, over float-prefiltered candidates
-    margin = worst * 1e-6 + 1e-9
-    fp = tuple(float(x) for x in worst_probe)
-    cand = [
-        p for p, c in zip(pts, coords)
-        if sum((a - b) ** 2 for a, b in zip(fp, c)) <= worst + margin
-    ]
-    exact_best = None
-    for p in cand:
-        dd = _dist_sq(worst_probe, p.physical)
-        if exact_best is None or dd < exact_best:
-            exact_best = dd
-    upper_sq = quad_bounds(exact_best, bits=40)[1]
+    upper_sq = quad_bounds(nearest(worst_probe, exact=True), bits=40)[1]
     return sqrt_upper(upper_sq) + resolution
-
-
-def _cells_at_radius(cell, radius, d):
-    if radius == 0:
-        return [cell]
-    out = []
-    for offs in product(range(-radius, radius + 1), repeat=d):
-        if max(abs(o) for o in offs) == radius:
-            out.append(tuple(c + o for c, o in zip(cell, offs)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -617,25 +574,18 @@ def verify_euclideanization(expr, refined, window2, halfwidth=Fraction(20),
     refinement multiplier, so integrality and star membership are exact.
     """
     mult = refinement_multiplier(expr)
-    checked = 0
+    pts = sample_points(expr, halfwidth, budget)
     violations = 0
-    region = Box([-halfwidth] * expr.cps.d, [halfwidth] * expr.cps.d)
-    for branch in expr.branches:
-        pts = enumerate_model_set(expr.cps, branch.window, region, budget)
-        for p in pts:
-            coords = [
-                (Fraction(c) + tc) * mult
-                for c, tc in zip(p.coords, branch.translate.coords)
-            ]
-            checked += 1
-            if any(c.denominator != 1 for c in coords):
-                violations += 1
-                continue
-            internal = refined.internal_of([int(c) for c in coords])
-            if expr.cps.m and not window2.contains(internal):
-                violations += 1
+    for p in pts:
+        coords = [c * mult for c in p.coords]
+        if any(c.denominator != 1 for c in coords):
+            violations += 1
+            continue
+        internal = refined.internal_of([int(c) for c in coords])
+        if expr.cps.m and not window2.contains(internal):
+            violations += 1
     return {
         "sample_halfwidth": str(halfwidth),
-        "points_checked": checked,
+        "points_checked": len(pts),
         "violations": violations,
     }

@@ -17,6 +17,7 @@ set is lost; the survivors are then decided by exact star membership.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -254,6 +255,8 @@ class CutProjectScheme:
         gens = tuple(tuple(as_quad(x) for x in g) for g in generators)
         if len(gens) != self.d + self.m or any(len(g) != self.d + self.m for g in gens):
             raise ValueError("need d+m generators of full dimension d+m")
+        if any(x.b and x.D != self.D for g in gens for x in g):
+            raise ValueError(f"every irrational generator entry must use sqrt({self.D})")
         self.generators = gens
         self.density = density
         self.name = name
@@ -563,6 +566,45 @@ def _dist_sq(p, q) -> QuadScalar:
     return total
 
 
+def _nearest_sq(points):
+    """Nearest-point search over fixed exact points, by a sweep along axis 0.
+
+    Returns `nearest(probe, exact=False)`.  A query bisects to the probe in
+    the points sorted by first float coordinate and sweeps outward both ways;
+    a direction stops once its first-axis gap alone, squared, exceeds the
+    best float distance so far plus a margin.  So the sweep is exhaustive:
+    it returns the least float squared distance, or with `exact` the least
+    `_dist_sq` over the points whose float distance is within the margin of
+    that least, a set that keeps the exact nearest point.
+    """
+    entries = sorted(
+        ((tuple(float(x) for x in p), p) for p in points), key=lambda e: e[0][0]
+    )
+    firsts = [f[0] for f, _ in entries]
+
+    def nearest(probe, exact=False):
+        fp = tuple(float(x) for x in probe)
+        best = limit = float("inf")
+        near = []
+        i = bisect_left(firsts, fp[0])
+        for run in (range(i - 1, -1, -1), range(i, len(entries))):
+            for j in run:
+                f, p = entries[j]
+                if (fp[0] - f[0]) ** 2 > limit:
+                    break
+                dd = sum((a - b) ** 2 for a, b in zip(fp, f))
+                if dd <= limit:
+                    near.append((dd, p))
+                    if dd < best:
+                        best = dd
+                        limit = best + (best * 1e-6 + 1e-9)
+        if not exact:
+            return best
+        return min(_dist_sq(probe, p) for dd, p in near if dd <= limit)
+
+    return nearest
+
+
 def _min_pairwise_dist_sq(pts, budget=DEFAULT_BUDGET):
     if len(pts) < 2:
         raise ValueError("need at least two points")
@@ -615,17 +657,12 @@ def delone_certificate(points, region, resolution=Fraction(1, 8)):
         max_bound = quad_bounds(worst, bits=40)[1]
     else:
         lo, hi = region.rational_bounds()
-        worst_sq = Fraction(0)
+        nearest = _nearest_sq(pts)
         grids = [_rational_range(a, b, resolution) for a, b in zip(lo, hi)]
-        for sample in product(*grids):
-            nearest = None
-            for p in pts:
-                d2 = _dist_sq(sample, p)
-                if nearest is None or d2 < nearest:
-                    nearest = d2
-            nb = quad_bounds(nearest, bits=40)[1]
-            if nb > worst_sq:
-                worst_sq = nb
+        worst_sq = max(
+            (quad_bounds(nearest(s, exact=True), bits=40)[1] for s in product(*grids)),
+            default=Fraction(0),
+        )
         max_bound = 2 * (sqrt_upper(worst_sq) + resolution)
     return min_sq, max_bound
 

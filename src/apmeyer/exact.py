@@ -29,11 +29,17 @@ def _require_squarefree(d: int) -> None:
         return
     if d <= 1:
         raise ValueError(f"quadratic radicand must be greater than 1, got {d}")
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            raise ValueError(f"quadratic radicand must be square-free, got {d}")
+    # divide out the primes k with k^3 <= n; the cofactor n then has at most
+    # two prime factors, so it is square-free unless it is a perfect square
+    n, k = d, 2
+    while k * k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                raise ValueError(f"quadratic radicand must be square-free, got {d}")
         k += 1
+    if n > 1 and isqrt(n) ** 2 == n:
+        raise ValueError(f"quadratic radicand must be square-free, got {d}")
     _SQUAREFREE_CHECKED.add(d)
 
 

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,17 @@ from apmeyer.aprank import (
     shrink_window,
     verify_euclideanization,
 )
-from apmeyer.cps import Ball, Box, builtin, trivial_window
+from apmeyer.cps import (
+    Ball,
+    Box,
+    _dist_sq,
+    _nearest_sq,
+    builtin,
+    enumerate_model_set,
+    trivial_window,
+)
 from apmeyer.errors import BudgetExceeded, NotInLattice, RankGapError, VerificationFailed
-from apmeyer.exact import QuadScalar
+from apmeyer.exact import QuadScalar, quad_bounds, sqrt_upper
 from apmeyer.files import ap_to_dict
 from apmeyer.progression import ap_points, ap_rank, verify_ap
 
@@ -107,6 +117,108 @@ def test_covering_certificate_fibonacci():
     u = Box([F(1, 4)], [F(3, 4)], (False,), (False,))
     r = covering_radius_certificate(fib(), u, F(1, 10))
     assert 0 < r <= 10
+
+
+def _open_box(lo, hi):
+    return Box(lo, hi, (False,) * len(lo), (False,) * len(hi))
+
+
+@pytest.mark.parametrize("name, window, expected", [
+    ("fibonacci", _open_box([F(1, 4)], [F(3, 4)]),
+     F(58603765515754987740293, 23611832414348226068480)),
+    ("fibonacci", _open_box([F(0)], [F(1)]),
+     F(3273240426980810954913, 1475739525896764129280)),
+    ("silver_mean", _open_box([F(-1, 2)], [F(1, 2)]),
+     F(19902253425828768925849, 11805916207174113034240)),
+    ("silver_mean", _open_box([F(0)], [F(1)]),
+     F(8896388186976498293961, 2951479051793528258560)),
+    ("integer_lattice(2)", trivial_window(), F(4333121537, 5368709120)),
+    ("ammann_beenker", _open_box([F(-1, 2)] * 2, [F(1, 2)] * 2),
+     F(13828509827834126749057, 5902958103587056517120)),
+])
+def test_covering_certificate_golden_values(name, window, expected):
+    aprank._cover_radius.cache_clear()
+    assert covering_radius_certificate(builtin(name), window, F(1, 10)) == expected
+
+
+def _ring_search_cover(cps, window, resolution, span):
+    """The covering certificate as first written, a float bucket grid with a
+    ring search: (float nearest squared distance at each probe, certificate)."""
+    d = cps.d
+    pts = enumerate_model_set(cps, window, Box([-span] * d, [span] * d))
+    if not pts:
+        raise BudgetExceeded("no model-set point within the certificate span")
+    coords = [tuple(float(x) for x in p.physical) for p in pts]
+    buckets = {}
+    for i, c in enumerate(coords):
+        buckets.setdefault(tuple(floor(x) for x in c), []).append(i)
+
+    def cells_at_radius(cell, radius):
+        if radius == 0:
+            return [cell]
+        return [
+            tuple(c + o for c, o in zip(cell, offs))
+            for offs in product(range(-radius, radius + 1), repeat=d)
+            if max(abs(o) for o in offs) == radius
+        ]
+
+    def nearest_sq(fp):
+        cell = tuple(floor(x) for x in fp)
+        best = None
+        radius = 0
+        while True:
+            for cc in cells_at_radius(cell, radius):
+                for i in buckets.get(cc, ()):
+                    dd = sum((a - b) ** 2 for a, b in zip(fp, coords[i]))
+                    if best is None or dd < best:
+                        best = dd
+            if best is not None and (radius - 1) >= best ** 0.5:
+                return best
+            radius += 1
+            if radius > 4 * float(span):
+                return best if best is not None else float("inf")
+
+    steps = int(Fraction(span, 2) / resolution)
+    minima = []
+    worst, worst_probe = -1.0, None
+    for ks in product(range(-steps, steps + 1), repeat=d):
+        probe = tuple(k * resolution for k in ks)
+        dd = nearest_sq(tuple(float(x) for x in probe))
+        minima.append(dd)
+        if dd > worst:
+            worst, worst_probe = dd, probe
+    margin = worst * 1e-6 + 1e-9
+    fp = tuple(float(x) for x in worst_probe)
+    exact_best = min(
+        _dist_sq(worst_probe, p.physical) for p, c in zip(pts, coords)
+        if sum((a - b) ** 2 for a, b in zip(fp, c)) <= worst + margin
+    )
+    return minima, sqrt_upper(quad_bounds(exact_best, bits=40)[1]) + resolution
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["fibonacci", "silver_mean"]),
+    st.integers(-12, 12), st.integers(2, 12), st.booleans(), st.booleans(),
+    st.sampled_from([F(4), F(8)]),
+)
+def test_covering_certificate_matches_ring_search_oracle(name, lo, width, lo_closed,
+                                                         hi_closed, span):
+    cps = builtin(name)
+    window = Box([F(lo, 12)], [F(lo + width, 12)], (lo_closed,), (hi_closed,))
+    resolution = F(1, 10)
+    try:
+        minima, expected = _ring_search_cover(cps, window, resolution, span)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            covering_radius_certificate(cps, window, resolution, span)
+        return
+    pts = enumerate_model_set(cps, window, Box([-span], [span]))
+    nearest = _nearest_sq([p.physical for p in pts])
+    steps = int(span / 2 / resolution)
+    assert [nearest((k * resolution,)) for k in range(-steps, steps + 1)] == minima
+    aprank._cover_radius.cache_clear()
+    assert covering_radius_certificate(cps, window, resolution, span) == expected
 
 
 def test_covering_certificate_thin_window_errors():

@@ -96,6 +96,25 @@ def test_rank_command(tmp_path, capsys):
     assert report["result"]["rank"] == 2
 
 
+def test_find_ap_planar_ammann_beenker(capsys):
+    code, report = run(capsys, "find-ap", "--cps", "ammann_beenker",
+                       "--window", "[-1,1]x[-1,1]", "--length", "2",
+                       "--budget", "100000000")
+    assert code == 0
+    result = report["result"]
+    assert result["rank"] == 4
+    assert result["radius"]["exact"] == (
+        "1950286674168898891276897/5902958103587056517120"
+    )
+    assert result["progression"] == {
+        "base": ["0", "0", "0", "0"],
+        "coordinate_kind": "lattice",
+        "length": 2,
+        "ratios": [["17", "12", "0", "0"], ["0", "0", "17", "12"],
+                   ["24", "17", "0", "0"], ["0", "0", "24", "17"]],
+    }
+
+
 def test_find_ap_with_oracle(capsys):
     code, report = run(capsys, "find-ap", "--cps", "fibonacci", "--window", "[0,1]",
                        "--length", "2", "--oracle", "--rank-target", "2")
@@ -183,7 +202,7 @@ def test_example_command(tmp_path, capsys):
     assert len(report["result"]["expr"]["branches"]) == 3
 
 
-def test_bad_inputs_exit_two(capsys):
+def test_bad_inputs_exit_two(tmp_path, capsys):
     assert main(["gen", "--cps", "no_such_scheme.json",
                  "--window", "[0,1]", "--region", "|x|<=3"]) == 2
     capsys.readouterr()
@@ -195,6 +214,15 @@ def test_bad_inputs_exit_two(capsys):
     # sqrt(1) is rational: radicands must be square-free and greater than 1
     assert main(["gen", "--cps", "integer_lattice(1)",
                  "--region", "[0-1*sqrt(1),2]"]) == 2
+    capsys.readouterr()
+    # sqrt(2) entries in a scheme declared over Q(sqrt(5))
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps({
+        "d": 1, "m": 1, "D": 5,
+        "generators": [["1", "1"], ["1+1*sqrt(2)", "1-1*sqrt(2)"]],
+    }))
+    assert main(["gen", "--cps", str(foreign), "--window", "[0,1]",
+                 "--region", "|x|<=3"]) == 2
     capsys.readouterr()
 
 

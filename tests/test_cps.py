@@ -11,7 +11,10 @@ from apmeyer.cps import (
     Box,
     CutProjectScheme,
     ShiftedUnion,
+    _dist_sq,
     _interval_dot,
+    _nearest_sq,
+    _rational_range,
     builtin,
     delone_certificate,
     enumerate_model_set,
@@ -23,7 +26,7 @@ from apmeyer.cps import (
     validate,
 )
 from apmeyer.errors import BudgetExceeded, NotInLattice, UnboundedRegion
-from apmeyer.exact import QuadScalar, rank_over_Q
+from apmeyer.exact import QuadScalar, quad_bounds, rank_over_Q, sqrt_upper
 
 F = Fraction
 PHI = QuadScalar(F(1, 2), F(1, 2), 5)
@@ -106,6 +109,15 @@ def test_validate_rejects_non_dense_scheme():
     assert report.lattice_invertible
     assert not report.projection_injective  # kernel contains (0, 1)
     assert report.density == "failed"
+
+
+def test_scheme_rejects_foreign_radicand():
+    r2 = QuadScalar(0, 1, 2)
+    with pytest.raises(ValueError):
+        CutProjectScheme(1, 1, 5, [(1, 1), (1 + r2, 1 - r2)])
+    # under their own radicand the same generators lift as they should
+    s = CutProjectScheme(1, 1, 2, [(1, 1), (1 + r2, 1 - r2)])
+    assert lift_translate(s, [1 + r2]) == (1 - r2,)
 
 
 def test_star_examples():
@@ -456,6 +468,52 @@ def test_delone_certificate_integer_lattice():
     pts = enumerate_model_set(il, trivial_window(), region)
     min_sq, max_gap = delone_certificate(pts, region)
     assert min_sq == 1 and max_gap == 1
+
+
+def _delone_bound_oracle(points, region, resolution):
+    """The covering half of `delone_certificate` for d >= 2 as it was first
+    written: the exact distance from every grid sample to every point."""
+    pts = [p.physical for p in points]
+    lo, hi = region.rational_bounds()
+    worst_sq = F(0)
+    grids = [_rational_range(a, b, resolution) for a, b in zip(lo, hi)]
+    for sample in product(*grids):
+        nearest = None
+        for p in pts:
+            d2 = _dist_sq(sample, p)
+            if nearest is None or d2 < nearest:
+                nearest = d2
+        nb = quad_bounds(nearest, bits=40)[1]
+        if nb > worst_sq:
+            worst_sq = nb
+    return 2 * (sqrt_upper(worst_sq) + resolution)
+
+
+@pytest.mark.parametrize("name, window, side, resolution", [
+    ("integer_lattice(2)", None, 4, F(1, 2)),
+    ("ammann_beenker", Box([F(-1)] * 2, [F(1)] * 2), 5, F(1, 2)),
+])
+def test_delone_certificate_matches_all_points_oracle(name, window, side, resolution):
+    region = Box([F(0), F(0)], [F(side), F(side)])
+    pts = enumerate_model_set(builtin(name), window or trivial_window(), region)
+    _, max_gap = delone_certificate(pts, region, resolution=resolution)
+    assert max_gap == _delone_bound_oracle(pts, region, resolution)
+
+
+_COORD = st.builds(
+    lambda a, b: QuadScalar(F(a, 4), F(b, 4), 2), st.integers(-12, 12), st.integers(-8, 8)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=12),
+       st.tuples(_COORD, _COORD))
+def test_nearest_sweep_matches_brute_force(points, probe):
+    nearest = _nearest_sq(points)
+    fp = tuple(float(x) for x in probe)
+    floats = [sum((a - float(b)) ** 2 for a, b in zip(fp, p)) for p in points]
+    assert nearest(probe) == min(floats)
+    assert nearest(probe, exact=True) == min(_dist_sq(probe, p) for p in points)
 
 
 def test_delone_certificate_needs_two_points():

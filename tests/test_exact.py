@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd, isqrt
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apmeyer import exact
 from apmeyer.errors import ParseError, RankDeficient
 from apmeyer.exact import (
     QuadScalar,
@@ -134,6 +136,51 @@ def test_radicand_one_rejected():
         QuadScalar(0, 1, 1)
     with pytest.raises(ValueError):
         parse_quad("0+1*sqrt(1)")
+
+
+def _squarefree_by_trial_division(d):
+    k = 2
+    while k * k <= d:
+        if d % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
+def _accepted(d):
+    exact._SQUAREFREE_CHECKED.discard(d)  # decide afresh, not from the cache
+    try:
+        exact._require_squarefree(d)
+    except ValueError:
+        return False
+    return True
+
+
+def test_squarefree_matches_trial_division_below_20000(monkeypatch):
+    monkeypatch.setattr(exact, "_SQUAREFREE_CHECKED", set())
+    for d in range(2, 20_000):
+        assert _accepted(d) == _squarefree_by_trial_division(d), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.integers(2, 10 ** 5),
+    st.tuples(st.integers(1, 100), st.integers(2, 316)).map(lambda t: t[0] * t[1] ** 2),
+).filter(lambda d: d <= 10 ** 5))
+def test_squarefree_matches_trial_division_up_to_1e5(d):
+    assert _accepted(d) == _squarefree_by_trial_division(d)
+
+
+def test_squarefree_large_radicands(monkeypatch):
+    monkeypatch.setattr(exact, "_SQUAREFREE_CHECKED", set())
+    p = 10 ** 7 + 19  # prime
+    start = time.perf_counter()
+    assert parse_quad("0+1*sqrt(100000000000031)").D == 10 ** 14 + 31  # prime
+    assert time.perf_counter() - start < 1  # trial division up to sqrt(D) took seconds
+    for d in (p * p, 2 * p * p):
+        with pytest.raises(ValueError):
+            QuadScalar(0, 1, d)
+    assert _accepted(2 * p) and _accepted(3 * 5 * p)
 
 
 def test_sqrt_brackets():
