@@ -146,8 +146,9 @@ class ExprPoint:
         coords = tuple(c + Fraction(v) for c, v in zip(self.coords, vec))
         return ExprPoint(coords, self.tags)
 
-    def minus(self, translate) -> "ExprPoint | None":
-        """Subtract a branch translate; None when tags cannot cancel."""
+    def minus(self, translate) -> "ExprPoint":
+        """Subtract a branch translate: its coordinates for a lattice
+        translate, one count of its tag for a symbolic one."""
         if isinstance(translate, LatticeTranslate):
             coords = tuple(c - t for c, t in zip(self.coords, translate.coords))
             return ExprPoint(coords, self.tags)
@@ -175,7 +176,7 @@ def branch_decompose(expr: MeyerExpr, point: ExprPoint):
     """Minimal branch index containing the point, or None."""
     for j, branch in enumerate(expr.branches):
         q = point.minus(branch.translate)
-        if q is None or not q.is_lattice:
+        if not q.is_lattice:
             continue
         if expr.cps.m == 0:
             return j

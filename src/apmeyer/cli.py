@@ -125,6 +125,8 @@ def _cmd_crt(args) -> tuple[dict, int]:
 
 
 def _cmd_find_ap(args) -> tuple[dict, int]:
+    if args.expr and args.oracle:
+        raise ParseError("--oracle needs --cps: it enumerates the model set")
     if args.expr:
         expr = _files.load_expr(args.expr)
         cps = expr.cps
@@ -145,13 +147,15 @@ def _cmd_find_ap(args) -> tuple[dict, int]:
     }
     if radius is not None:
         result["radius"] = _dual(radius)
-    if args.oracle and not args.expr:
+    if args.oracle:
         ball = _cps.Ball(anchor, radius * radius)
         sample = {p.coords for p in _cps.enumerate_model_set(cps, window, ball, args.budget)}
         members = [tuple(p) in sample for p in _prog.ap_points(ap)]
         result["oracle"] = {"points_checked": len(members), "all_member": all(members)}
         if not all(members):
             return {"result": result, "status": "fail"}, 1
+    if args.rank_target is not None and result["rank"] != args.rank_target:
+        return {"result": result, "status": "fail"}, 1
     return {"result": result, "status": "ok"}, 0
 
 
@@ -185,7 +189,7 @@ def _cmd_aprank(args) -> tuple[dict, int]:
         "certificates": [
             {"length": n, "progression": _files.ap_to_dict(ap)} for n, ap in bracket.certificates
         ],
-        "sample_module_rank": _aprank.sample_module_rank(expr),
+        "sample_module_rank": _aprank.sample_module_rank(expr, budget=args.budget),
     }
     return {"result": result, "status": "ok"}, 0
 
@@ -271,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_crt)
 
     p = sub.add_parser("find-ap", help="construct a maximal-rank li-progression")
-    p.add_argument("--cps")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--cps")
+    source.add_argument("--expr", help="Meyer expression JSON file")
     p.add_argument("--window")
-    p.add_argument("--expr", help="Meyer expression JSON file")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--at", help="anchor point, comma-separated exact literals")
     p.add_argument("--oracle", action="store_true",
@@ -315,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "find-ap" and not args.expr and not args.cps:
-        parser.error("find-ap needs --expr or --cps")
     inputs = {}
     for key in ("cps", "window", "expr", "colors", "points"):
         value = getattr(args, key, None)
@@ -334,11 +337,6 @@ def main(argv=None) -> int:
         return 1
     report = {"command": args.command, "inputs": inputs}
     report.update(body)
-    if args.command == "find-ap" and args.rank_target is not None:
-        found = report["result"].get("rank")
-        if found != args.rank_target:
-            report["status"] = "fail"
-            code = 1
     _emit(report)
     return code
 

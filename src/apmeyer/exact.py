@@ -15,18 +15,20 @@ n*M inside a finite-index submodule, read off the largest elementary divisor).
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 
 from .errors import ParseError, RankDeficient
 
-_SQUAREFREE_CHECKED: set[int] = set()
 
-
+# Every caller in practice uses one or two radicands (the builtin schemes use
+# D = 2 and D = 5), so a small LRU keeps the hot path a cache hit while a
+# process that parses radicands from user input keeps a bounded set.
+@lru_cache(maxsize=16)
 def _require_squarefree(d: int) -> None:
-    if d in _SQUAREFREE_CHECKED:
-        return
     if d <= 1:
         raise ValueError(f"quadratic radicand must be greater than 1, got {d}")
     # divide out the primes k with k^3 <= n; the cofactor n then has at most
@@ -40,17 +42,12 @@ def _require_squarefree(d: int) -> None:
         k += 1
     if n > 1 and isqrt(n) ** 2 == n:
         raise ValueError(f"quadratic radicand must be square-free, got {d}")
-    _SQUAREFREE_CHECKED.add(d)
 
 
 def sqrt_bounds(d: int, bits: int = 32) -> tuple[Fraction, Fraction]:
     """Rational lo <= sqrt(d) <= hi with hi - lo <= 2**-bits."""
     _require_squarefree(d)
-    s = isqrt(d << (2 * bits))
-    scale = 1 << bits
-    lo = Fraction(s, scale)
-    hi = Fraction(s + 1, scale)
-    return lo, hi
+    return sqrt_lower(d, bits), sqrt_upper(d, bits)
 
 
 def sqrt_lower(q: Fraction, bits: int = 32) -> Fraction:
@@ -65,14 +62,10 @@ def sqrt_lower(q: Fraction, bits: int = 32) -> Fraction:
 
 def sqrt_upper(q: Fraction, bits: int = 32) -> Fraction:
     """Rational u >= sqrt(q); exact when q is a perfect rational square."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative radicand")
-    n = q.numerator * q.denominator
-    s = isqrt(n << (2 * bits))
-    if s * s == n << (2 * bits):
-        return Fraction(s, q.denominator << bits)
-    return Fraction(s + 1, q.denominator << bits)
+    lo = sqrt_lower(q, bits)
+    if lo * lo == q:
+        return lo
+    return lo + Fraction(1, Fraction(q).denominator << bits)
 
 
 class QuadScalar:
@@ -135,7 +128,10 @@ class QuadScalar:
         return QuadScalar(self.a - other.a, self.b - other.b, self._join(other))
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = QuadScalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return QuadScalar(other.a - self.a, other.b - self.b, self._join(other))
 
     def __mul__(self, other):
         if type(other) is int:
@@ -164,11 +160,11 @@ class QuadScalar:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero QuadScalar")
+        # (a + b*sqrt(D)) / (c + e*sqrt(D)) = (a + b*sqrt(D))(c - e*sqrt(D)) / norm
         D = self._join(other)
         n = other.norm()
-        conj = other.conjugate()
-        num = self * conj
-        return QuadScalar(num.a / n, num.b / n, D)
+        c, e = other.a, other.b
+        return QuadScalar((self.a * c - self.b * e * D) / n, (self.b * c - self.a * e) / n, D)
 
     def __rtruediv__(self, other):
         other = QuadScalar._coerce(other)
@@ -178,17 +174,22 @@ class QuadScalar:
 
     # -- exact order ------------------------------------------------------
 
-    def sign(self) -> int:
-        """Sign of the real number, via integer comparison of a^2 and b^2 D."""
+    def _triple(self) -> tuple[int, int, int]:
+        """Integers (P, Q, R) with self = (P + Q*sqrt(D))/R and R > 0."""
         an, ad = self.a.numerator, self.a.denominator
         bn, bd = self.b.numerator, self.b.denominator
-        sa = (an > 0) - (an < 0)
-        sb = (bn > 0) - (bn < 0)
-        if sa * sb >= 0:
-            return sa or sb
-        # opposite signs: |a| vs |b| sqrt(D) decided on integer squares
-        t = an * an * bd * bd - bn * bn * self.D * ad * ad
-        return sa * ((t > 0) - (t < 0))
+        return an * bd, bn * ad, ad * bd
+
+    def sign(self) -> int:
+        """Sign of the real number, via integer comparison of P^2 and Q^2 D."""
+        P, Q, _ = self._triple()
+        sp = (P > 0) - (P < 0)
+        sq = (Q > 0) - (Q < 0)
+        if sp * sq >= 0:
+            return sp or sq
+        # opposite signs: |P| vs |Q| sqrt(D) decided on integer squares
+        t = P * P - Q * Q * self.D
+        return sp * ((t > 0) - (t < 0))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -206,29 +207,24 @@ class QuadScalar:
             return hash(self.a)
         return hash((self.a, self.b, self.D))
 
-    def __lt__(self, other):
-        other = QuadScalar._coerce(other)
-        if other is NotImplemented:
+    def _compare(self, other, op):
+        """op(sign(self - other), 0), or NotImplemented for a foreign type."""
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
             return NotImplemented
-        return (self - other).sign() < 0
+        return op(diff.sign(), 0)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        other = QuadScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        other = QuadScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        other = QuadScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() >= 0
+        return self._compare(other, operator.ge)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -247,28 +243,13 @@ class QuadScalar:
     def __float__(self):
         return float(self.a) + float(self.b) * (self.D ** 0.5)
 
-    def _floor_scaled(self, k: int) -> int:
-        """floor(self * 10**k), exactly, over the integers."""
-        an, ad = self.a.numerator, self.a.denominator
-        bn, bd = self.b.numerator, self.b.denominator
-        # self = (P + Q*sqrt(D)) / R
-        P, Q, R = an * bd, bn * ad, ad * bd
-        if k >= 0:
-            scale = 10 ** k
-            P, Q = P * scale, Q * scale
-        else:
-            R *= 10 ** -k
-        if Q > 0:
-            P += isqrt(Q * Q * self.D)
-        elif Q < 0:
-            P -= isqrt(Q * Q * self.D) + 1
-        return P // R
-
     def __floor__(self):
-        return self._floor_scaled(0)
+        P, Q, R = self._triple()
+        return _floor_scaled(P, Q, R, self.D, 0)
 
     def __ceil__(self):
-        return -((-self).__floor__())
+        P, Q, R = self._triple()
+        return -_floor_scaled(-P, -Q, R, self.D, 0)
 
     def as_literal(self) -> str:
         if self.b == 0:
@@ -299,6 +280,20 @@ def quad_bounds(x, bits: int = 32) -> tuple[Fraction, Fraction]:
     return as_quad(x).bounds(bits)
 
 
+def _floor_scaled(P: int, Q: int, R: int, D: int, k: int) -> int:
+    """floor((P + Q*sqrt(D))/R * 10**k), exactly, over the integers (R > 0)."""
+    if k >= 0:
+        scale = 10 ** k
+        P, Q = P * scale, Q * scale
+    else:
+        R *= 10 ** -k
+    if Q > 0:
+        P += isqrt(Q * Q * D)
+    elif Q < 0:
+        P -= isqrt(Q * Q * D) + 1
+    return P // R
+
+
 def decimal_str(x, digits: int = 20) -> str:
     """Truncated decimal expansion with `digits` significant digits.
 
@@ -308,17 +303,19 @@ def decimal_str(x, digits: int = 20) -> str:
     if not x:
         return "0"
     neg = x.sign() < 0
-    y = -x if neg else x
-    # exponent e with 10^e <= y < 10^(e+1): the digit count of floor(y)
-    # when y >= 1, else the first e < 0 with floor(y * 10^-e) > 0
-    whole = y._floor_scaled(0)
+    P, Q, R = x._triple()
+    if neg:
+        P, Q = -P, -Q
+    # exponent e with 10^e <= |x| < 10^(e+1): the digit count of floor(|x|)
+    # when |x| >= 1, else the first e < 0 with floor(|x| * 10^-e) > 0
+    whole = _floor_scaled(P, Q, R, x.D, 0)
     if whole:
         e = len(str(whole)) - 1
     else:
         e = -1
-        while not y._floor_scaled(-e):
+        while not _floor_scaled(P, Q, R, x.D, -e):
             e -= 1
-    s = str(y._floor_scaled(digits - 1 - e))
+    s = str(_floor_scaled(P, Q, R, x.D, digits - 1 - e))
     point = e + 1
     if point <= 0:
         body = "0." + "0" * (-point) + s
@@ -372,33 +369,25 @@ def parse_quad(text: str) -> QuadScalar:
 
 # -- flattening to rational vectors ----------------------------------------
 
-def flatten_scalar(x) -> tuple[Fraction, Fraction]:
-    """Coefficients of (1, sqrt(D)); rationals flatten to (x, 0)."""
-    q = as_quad(x)
-    return (q.a, q.b)
-
-
 def flatten_vector(v) -> tuple[Fraction, ...]:
+    """Coefficients of (1, sqrt(D)) per entry; rationals flatten to (x, 0)."""
     out: list[Fraction] = []
     for x in v:
-        out.extend(flatten_scalar(x))
+        q = as_quad(x)
+        out += (q.a, q.b)
     return tuple(out)
 
 
 # -- rank over Q by fraction-free elimination -------------------------------
 
-def _integerize(vec) -> tuple[int, ...]:
+def _integerize(vec) -> list[int]:
     fracs = [Fraction(x) for x in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
-    return tuple(ints)
+    return ints
 
 
 class IntEchelon:
@@ -417,7 +406,7 @@ class IntEchelon:
         return len(self.rows)
 
     def insert(self, vec) -> bool:
-        v = list(_integerize(vec))
+        v = _integerize(vec)
         if len(v) != self.dim:
             raise ValueError(f"dimension mismatch: expected {self.dim}, got {len(v)}")
         for piv, row in self.rows:
@@ -425,9 +414,7 @@ class IntEchelon:
                 c = v[piv]
                 p = row[piv]
                 v = [p * x - c * y for x, y in zip(v, row)]
-                g = 0
-                for x in v:
-                    g = gcd(g, x)
+                g = gcd(*v)
                 if g > 1:
                     v = [x // g for x in v]
         piv = next((j for j, x in enumerate(v) if x), None)
@@ -440,30 +427,14 @@ class IntEchelon:
         return True
 
 
-def _as_fraction_rows(vectors) -> list[tuple[Fraction, ...]]:
-    rows = [tuple(Fraction(x) for x in v) for v in vectors]
-    if rows:
-        dim = len(rows[0])
-        for r in rows:
-            if len(r) != dim:
-                raise ValueError("dimension mismatch among input vectors")
-    return rows
-
-
 def rank_over_Q(vectors) -> int:
     """Dimension of the Q-span of the given rational vectors."""
-    rows = _as_fraction_rows(vectors)
-    if not rows:
-        return 0
-    ech = IntEchelon(len(rows[0]))
-    for r in rows:
-        ech.insert(r)
-    return ech.rank
+    return len(max_li_subset(vectors))
 
 
 def max_li_subset(vectors) -> list[int]:
     """Indices of the first maximal linearly independent subset in scan order."""
-    rows = _as_fraction_rows(vectors)
+    rows = list(vectors)
     if not rows:
         return []
     ech = IntEchelon(len(rows[0]))

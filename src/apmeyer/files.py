@@ -208,14 +208,6 @@ def load_expr(path: str) -> MeyerExpr:
 # progressions, point lists, colorings
 # ---------------------------------------------------------------------------
 
-def _coord_literal(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    return quad_literal(x)
-
-
 def ap_to_dict(ap: ArithmeticProgression) -> dict:
     from .aprank import ExprPoint
 
@@ -225,10 +217,10 @@ def ap_to_dict(ap: ArithmeticProgression) -> dict:
             "tags": {t: k for t, k in ap.base.tags},
         }
     else:
-        base = [_coord_literal(x) for x in ap.base]
+        base = [quad_literal(x) for x in ap.base]
     return {
         "base": base,
-        "ratios": [[_coord_literal(x) for x in r] for r in ap.ratios],
+        "ratios": [[quad_literal(x) for x in r] for r in ap.ratios],
         "length": ap.length,
         "coordinate_kind": ap.kind,
     }

@@ -30,6 +30,7 @@ from apmeyer.aprank import (
 from apmeyer.cps import (
     Ball,
     Box,
+    ShiftedUnion,
     _dist_sq,
     _nearest_sq,
     builtin,
@@ -103,6 +104,14 @@ def test_inscribe_box_in_ball():
     # corners stay inside the closed ball
     corner_sq = b.hi[0] * b.hi[0] + b.hi[1] * b.hi[1]
     assert corner_sq <= 1
+
+
+def test_inscribe_box_in_shifted_union():
+    # the first part's box, moved by its shift
+    w = ShiftedUnion([((F(1, 3),), Box([F(0)], [F(1, 2)])), ((F(5),), Ball([F(0)], F(2)))])
+    b = inscribe_box(w)
+    assert (b.lo, b.hi) == ((F(1, 3),), (F(5, 6),))
+    assert b.lo_closed == b.hi_closed == (True,)
 
 
 # -- covering radius certificate -----------------------------------------------
@@ -465,6 +474,10 @@ def test_aprank_bounds_raw_sample():
     assert (bracket.lower, bracket.upper) == (1, 1)
     for n, ap in bracket.certificates:
         assert set(ap_points(ap)) <= set(points)
+    # bare scalars are 1-tuples; three points hold no rank-1 progression of length 3
+    bracket = aprank_bounds([0, 1, 2], 3)
+    assert (bracket.lower, bracket.upper) == (0, 1)
+    assert bracket.certificates == () and bracket.tested_lengths == (1, 2, 3)
 
 
 def test_rank_gap_example_ranks():

@@ -9,16 +9,18 @@ import pytest
 from apmeyer.cli import main
 from apmeyer.files import (
     ap_from_dict,
+    ap_to_dict,
     cps_from_dict,
     expr_to_dict,
     format_coloring,
+    load_expr,
     parse_coloring,
     parse_point_lines,
     parse_region,
     window_from_dict,
     window_to_dict,
 )
-from apmeyer.aprank import meyer_expr, rank_gap_example
+from apmeyer.aprank import li_ap_in_meyer, meyer_expr, rank_gap_example
 from apmeyer.cps import Box, builtin
 from apmeyer.exact import QuadScalar
 from apmeyer.progression import ap_rank
@@ -136,6 +138,60 @@ def test_find_ap_rank_target_mismatch(capsys):
                        "--length", "1", "--rank-target", "3")
     assert code == 1
     assert report["status"] == "fail"
+
+
+def _rank_gap_reversed(tmp_path, capsys):
+    """`example rank_gap -n 1` with its branches swapped: branch 0 is symbolic."""
+    code, report = run(capsys, "example", "rank_gap", "--cps", "fibonacci", "-n", "1")
+    assert code == 0
+    payload = report["result"]["expr"]
+    payload["branches"].reverse()
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_find_ap_expr_with_symbolic_first_branch(tmp_path, capsys):
+    path = _rank_gap_reversed(tmp_path, capsys)
+    code, report = run(capsys, "find-ap", "--expr", path, "--length", "2")
+    assert code == 0
+    result = report["result"]
+    assert result["rank"] == 2
+    assert result["progression"] == {
+        "base": {"coords": ["0", "-1"], "tags": {"s1": 1}},
+        "coordinate_kind": "module",
+        "length": 2,
+        "ratios": [["5", "8"], ["8", "13"]],
+    }
+    # a module progression with a tagged base survives the file format
+    ap = li_ap_in_meyer(load_expr(path), 2)
+    assert ap_to_dict(ap) == result["progression"]
+    assert ap_from_dict(ap_to_dict(ap)) == ap
+
+
+def test_find_ap_argument_errors_exit_two(tmp_path, capsys):
+    path = _rank_gap_reversed(tmp_path, capsys)
+    for argv in (["--cps", "fibonacci", "--expr", path], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["find-ap", "--length", "2", *argv])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    # the oracle enumerates a model set, which an expression does not name
+    assert main(["find-ap", "--expr", path, "--length", "2", "--oracle"]) == 2
+    # fibonacci has one physical axis
+    assert main(["find-ap", "--cps", "fibonacci", "--window", "[0,1]",
+                 "--length", "2", "--at", "1,2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_aprank_budget_bounds_the_module_sample(tmp_path, capsys):
+    expr = meyer_expr(builtin("fibonacci"), [([F(1, 3)], Box([F(0)], [F(1, 2)]))])
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr_to_dict(expr)))
+    code = main(["aprank", "--expr", str(path), "--lengths", "2", "--budget", "50"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_vdw_success_and_failure(tmp_path, capsys):

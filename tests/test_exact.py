@@ -20,6 +20,7 @@ from apmeyer.exact import (
     parse_rational,
     quad_sign,
     rank_over_Q,
+    row_reduce,
     smith_divisors,
     smith_normal_form,
     solve_columns,
@@ -148,7 +149,7 @@ def _squarefree_by_trial_division(d):
 
 
 def _accepted(d):
-    exact._SQUAREFREE_CHECKED.discard(d)  # decide afresh, not from the cache
+    exact._require_squarefree.cache_clear()  # decide afresh, not from the cache
     try:
         exact._require_squarefree(d)
     except ValueError:
@@ -156,8 +157,7 @@ def _accepted(d):
     return True
 
 
-def test_squarefree_matches_trial_division_below_20000(monkeypatch):
-    monkeypatch.setattr(exact, "_SQUAREFREE_CHECKED", set())
+def test_squarefree_matches_trial_division_below_20000():
     for d in range(2, 20_000):
         assert _accepted(d) == _squarefree_by_trial_division(d), d
 
@@ -171,8 +171,8 @@ def test_squarefree_matches_trial_division_up_to_1e5(d):
     assert _accepted(d) == _squarefree_by_trial_division(d)
 
 
-def test_squarefree_large_radicands(monkeypatch):
-    monkeypatch.setattr(exact, "_SQUAREFREE_CHECKED", set())
+def test_squarefree_large_radicands():
+    exact._require_squarefree.cache_clear()
     p = 10 ** 7 + 19  # prime
     start = time.perf_counter()
     assert parse_quad("0+1*sqrt(100000000000031)").D == 10 ** 14 + 31  # prime
@@ -183,11 +183,30 @@ def test_squarefree_large_radicands(monkeypatch):
     assert _accepted(2 * p) and _accepted(3 * 5 * p)
 
 
+def test_squarefree_cache_stays_bounded():
+    # a long-lived process parsing radicands from user input must not grow it
+    maxsize = exact._require_squarefree.cache_info().maxsize
+    accepted = 0
+    for d in range(2, 20_000):
+        try:
+            QuadScalar(0, 1, d)
+        except ValueError:
+            continue
+        accepted += 1
+    assert accepted >= 10_000
+    assert exact._require_squarefree.cache_info().currsize <= maxsize
+
+
 def test_sqrt_brackets():
     assert sqrt_upper(F(1, 4)) == F(1, 2)
     assert sqrt_lower(F(1, 4)) == F(1, 2)
     lo, hi = sqrt_lower(F(2)), sqrt_upper(F(2))
     assert lo * lo <= 2 <= hi * hi and hi - lo < F(1, 10 ** 9)
+    for q in (F(9, 16), F(2, 3), 7, F(49, 4), 0):
+        lo, hi = sqrt_lower(q), sqrt_upper(q)
+        assert lo * lo <= q <= hi * hi
+        assert (lo == hi) == (lo * lo == q)
+        assert hi - lo <= F(1, F(q).denominator << 32)
 
 
 def test_decimal_str():
@@ -307,6 +326,16 @@ def test_order_matches_fraction_oracle(pair):
         assert (u == v) == (s == 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_RADICANDS.flatmap(lambda d: st.tuples(_quad_values(d), _quad_values(d))))
+def test_division_and_reflected_subtraction(pair):
+    x, y = pair
+    if y:
+        assert (x / y) * y == x
+    assert x.a - x == -(x - x.a)
+    assert 3 - x == QuadScalar(3 - x.a, -x.b, x.D)
+
+
 # -- parsing -----------------------------------------------------------------
 
 def test_parse_quad_examples():
@@ -355,9 +384,12 @@ def test_rank_dimension_mismatch():
     )
 )
 def test_rank_properties(vectors):
+    # rank_over_Q counts max_li_subset, so both are checked against the rank
+    # that Gauss-Jordan elimination over Fractions reports
     r = rank_over_Q(vectors)
     assert 0 <= r <= 3
     assert r == len(max_li_subset(vectors))
+    assert r == len(row_reduce([list(map(F, v)) for v in vectors], 3))
 
 
 def test_flatten_vector_mixes_scalar_kinds():

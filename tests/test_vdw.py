@@ -43,6 +43,13 @@ def test_single_color_is_trivial():
     assert grid == Grid((0, 0), (1, 1), 3)
 
 
+def test_depth_zero_grid_is_the_origin():
+    assert find_mono_grid(coloring_1d("01"), 0) == Grid((0,), (1,), 0)
+    planar = CubeColoring.from_function(3, 2, lambda c: c[0] % 2)
+    assert find_mono_grid(planar, 0) == Grid((0, 0), (1, 1), 0)
+    assert find_mono_grid(coloring_1d("0"), 0) is None  # a one-point cube
+
+
 def test_alternating_coloring():
     grid = find_mono_grid(coloring_1d("010101010"), 2)
     assert grid == Grid((0,), (2,), 2)
