@@ -25,6 +25,7 @@ from .cps import (
     ShiftedUnion,
     _dist_sq,
     _nearest_sq,
+    _rational_range,
     enumerate_model_set,
     lift_translate,
     rational_coords,
@@ -42,7 +43,7 @@ from .exact import (
     sqrt_lower,
     sqrt_upper,
 )
-from .progression import ArithmeticProgression, ap_rank, brute_force_li_ap, verify_ap
+from .progression import ArithmeticProgression, _as_point, ap_rank, brute_force_li_ap, verify_ap
 from .vdw import mono_subprogression
 
 
@@ -146,16 +147,19 @@ class ExprPoint:
         coords = tuple(c + Fraction(v) for c, v in zip(self.coords, vec))
         return ExprPoint(coords, self.tags)
 
-    def minus(self, translate) -> "ExprPoint":
-        """Subtract a branch translate: its coordinates for a lattice
-        translate, one count of its tag for a symbolic one."""
-        if isinstance(translate, LatticeTranslate):
-            coords = tuple(c - t for c, t in zip(self.coords, translate.coords))
+    def plus(self, translate, times=1) -> "ExprPoint":
+        """Add `times` copies of a branch translate: its coordinates for a
+        lattice translate, `times` counts of its tag for a symbolic one."""
+        if not translate.symbolic:
+            coords = tuple(c + times * t for c, t in zip(self.coords, translate.coords))
             return ExprPoint(coords, self.tags)
         counts = dict(self.tags)
-        counts[translate.tag] = counts.get(translate.tag, 0) - 1
-        counts = {k: v for k, v in counts.items() if v}
-        return ExprPoint(self.coords, tuple(sorted(counts.items())))
+        counts[translate.tag] = counts.get(translate.tag, 0) + times
+        return ExprPoint(self.coords, tuple(sorted((k, v) for k, v in counts.items() if v)))
+
+    def minus(self, translate) -> "ExprPoint":
+        """Subtract a branch translate: the inverse of `plus`."""
+        return self.plus(translate, -1)
 
     @property
     def is_lattice(self) -> bool:
@@ -193,21 +197,16 @@ def sample_points(expr: MeyerExpr, halfwidth=Fraction(10), budget=DEFAULT_BUDGET
     out = []
     for branch in expr.branches:
         pts = enumerate_model_set(expr.cps, branch.window, region, budget)
-        t = branch.translate
-        for p in pts:
-            if t.symbolic:
-                out.append(ExprPoint(tuple(map(Fraction, p.coords)), ((t.tag, 1),)))
-            else:
-                coords = tuple(Fraction(c) + tc for c, tc in zip(p.coords, t.coords))
-                out.append(ExprPoint(coords))
+        out += (ExprPoint(tuple(map(Fraction, p.coords))).plus(branch.translate) for p in pts)
     return out
 
 
-def sample_module_rank(expr: MeyerExpr, halfwidth=Fraction(10), budget=DEFAULT_BUDGET) -> int:
-    """Rank of the Z-module generated by a sample, with exact symbolic
-    bookkeeping: lattice coordinates plus one axis per symbolic tag."""
+def sample_module_rank(expr: MeyerExpr, budget=DEFAULT_BUDGET) -> int:
+    """Rank of the Z-module generated by the sample of `sample_points` at its
+    default half-width, with exact symbolic bookkeeping: lattice coordinates
+    plus one axis per symbolic tag."""
     tag_order = expr.tags()
-    pts = sample_points(expr, halfwidth, budget)
+    pts = sample_points(expr, budget=budget)
     return rank_over_Q([p.flatten(tag_order) for p in pts])
 
 
@@ -307,14 +306,14 @@ def _cover_radius(job: _CoverJob) -> Fraction:
     if not pts:
         raise BudgetExceeded("no model-set point within the certificate span; window too thin")
     nearest = _nearest_sq([p.physical for p in pts])
-    steps = int(Fraction(span, 2) / resolution)
-    probe_count = (2 * steps + 1) ** d
+    half = Fraction(span, 2)
+    axis = _rational_range(-half, half, resolution)
+    probe_count = len(axis) ** d
     if probe_count > budget:
         raise BudgetExceeded(f"{probe_count} probes exceed budget {budget}")
     worst = -1.0
     worst_probe = None
-    for ks in product(range(-steps, steps + 1), repeat=d):
-        probe = tuple(k * resolution for k in ks)
+    for probe in product(axis, repeat=d):
         dd = nearest(probe)
         if dd > worst:
             worst = dd
@@ -326,13 +325,6 @@ def _cover_radius(job: _CoverJob) -> Fraction:
 # ---------------------------------------------------------------------------
 # independent ratios and the main construction
 # ---------------------------------------------------------------------------
-
-def _phys_norm_sq(p) -> QuadScalar:
-    total = QuadScalar(0)
-    for x in p.physical:
-        total = total + x * x
-    return total
-
 
 def _neg_coords(p):
     return tuple(-c for c in p.coords)
@@ -347,7 +339,7 @@ def independent_ratios(cps, window, budget=DEFAULT_BUDGET):
     for _ in range(32):
         pts = enumerate_model_set(cps, window, Ball(origin, rho * rho), budget)
         pts = [p for p in pts if any(p.coords)]
-        pts.sort(key=lambda p: (_phys_norm_sq(p), _neg_coords(p)))
+        pts.sort(key=lambda p: (_dist_sq(p.physical, origin), _neg_coords(p)))
         ech = IntEchelon(target)
         picks = []
         for p in pts:
@@ -359,13 +351,14 @@ def independent_ratios(cps, window, budget=DEFAULT_BUDGET):
     raise BudgetExceeded("independent ratio search exhausted its radius doublings")
 
 
-def li_ap_in_model_set(cps, window, length, anchor=None,
-                       resolution=Fraction(1, 10), budget=DEFAULT_BUDGET):
+def li_ap_in_model_set(cps, window, length, anchor=None, budget=DEFAULT_BUDGET):
     """Linearly independent progression of rank d+m and the given length,
     inside the model set and inside B_R(anchor); returns (progression, R).
 
-    Every point is verified by exact arithmetic before returning; heuristic
-    radius estimates only cause retries."""
+    The covering radius is certified at the default resolution of
+    `covering_radius_certificate`.  Every point is verified by exact
+    arithmetic before returning; heuristic radius estimates only cause
+    retries."""
     if anchor is None:
         anchor = (Fraction(0),) * cps.d
     anchor = tuple(as_quad(x) for x in anchor)
@@ -373,7 +366,7 @@ def li_ap_in_model_set(cps, window, length, anchor=None,
     factor = max(1, length * (cps.d + cps.m))
     u_win, v_win = shrink_window(box, factor)
     ratios = independent_ratios(cps, v_win, budget)
-    rprime = covering_radius_certificate(cps, u_win, resolution, budget=budget)
+    rprime = covering_radius_certificate(cps, u_win, budget=budget)
     base = None
     for _ in range(16):
         cands = enumerate_model_set(cps, u_win, Ball(anchor, rprime * rprime), budget)
@@ -389,7 +382,7 @@ def li_ap_in_model_set(cps, window, length, anchor=None,
 
     radius = rprime
     for r in ratios:
-        norm_up = quad_bounds(_phys_norm_sq(r), bits=40)[1]
+        norm_up = quad_bounds(_dist_sq(r.physical, (0,) * cps.d), bits=40)[1]
         radius += length * sqrt_upper(norm_up)
 
     ap = ArithmeticProgression(base.coords, tuple(r.coords for r in ratios), length)
@@ -403,16 +396,16 @@ def li_ap_in_model_set(cps, window, length, anchor=None,
     return _verified(ap, member, cps.d + cps.m, budget), radius
 
 
-def mono_li_ap(cps, window, depth, coloring, anchor=None,
-               resolution=Fraction(1, 10), budget=DEFAULT_BUDGET):
+def mono_li_ap(cps, window, depth, coloring, anchor=None, budget=DEFAULT_BUDGET):
     """Monochromatic li-progression of rank d+m and length `depth`.
 
     `coloring` maps integer lattice coordinates (tuples) to hashable colors
-    and must be total on every constructed progression; iterative deepening
-    replaces any explicit van der Waerden bound."""
+    and must be total on every progression that `li_ap_in_model_set` builds
+    at `anchor`; iterative deepening replaces any explicit van der Waerden
+    bound."""
     n = max(depth, 1)
     for _ in range(12):
-        ap, _ = li_ap_in_model_set(cps, window, n, anchor, resolution, budget)
+        ap, _ = li_ap_in_model_set(cps, window, n, anchor, budget)
         found = mono_subprogression(ap, coloring, depth)
         if found is not None:
             break
@@ -431,10 +424,10 @@ def mono_li_ap(cps, window, depth, coloring, anchor=None,
 # progressions in structured Meyer sets
 # ---------------------------------------------------------------------------
 
-def li_ap_in_meyer(expr: MeyerExpr, length, anchor=None,
-                   resolution=Fraction(1, 10), budget=DEFAULT_BUDGET):
+def li_ap_in_meyer(expr: MeyerExpr, length, anchor=None, budget=DEFAULT_BUDGET):
     """Rank-(d+m) li-progression of the given length inside the expression,
-    built in branch 1 and translated; every point re-verified exactly."""
+    built in branch 1 by `li_ap_in_model_set` and translated; every point
+    re-verified exactly."""
     cps = expr.cps
     branch = expr.branches[0]
     if anchor is None:
@@ -445,12 +438,8 @@ def li_ap_in_meyer(expr: MeyerExpr, length, anchor=None,
         shifted_anchor = anchor  # nearness to the anchor is informative only
     else:
         shifted_anchor = tuple(a - tp for a, tp in zip(anchor, t.physical))
-    ap0, _ = li_ap_in_model_set(cps, branch.window, length, shifted_anchor,
-                                resolution, budget)
-    if t.symbolic:
-        base = ExprPoint(tuple(map(Fraction, ap0.base)), ((t.tag, 1),))
-    else:
-        base = ExprPoint(tuple(Fraction(c) + tc for c, tc in zip(ap0.base, t.coords)))
+    ap0, _ = li_ap_in_model_set(cps, branch.window, length, shifted_anchor, budget)
+    base = ExprPoint(tuple(map(Fraction, ap0.base))).plus(t)
     out = ArithmeticProgression(base, ap0.ratios, length, kind="module")
     return _verified(out, lambda p: expr_contains(expr, p), cps.d + cps.m, budget)
 
@@ -468,12 +457,12 @@ class ApRankBracket:
             raise ValueError("bracket invariant lower <= upper violated")
 
 
-def aprank_bounds(expr_or_points, n_max: int = 3, anchor=None,
-                  budget=DEFAULT_BUDGET) -> ApRankBracket:
+def aprank_bounds(expr_or_points, n_max: int = 3, budget=DEFAULT_BUDGET) -> ApRankBracket:
     """Bracket the ap-rank.
 
     Structured expressions: lower = upper = d+m (maximal-rank progressions are
-    constructed per length as certificates; the upper bound is structural).
+    constructed per length, anchored at the origin, as certificates; the
+    upper bound is structural).
     Raw point samples: upper = rank of the sampled module, lower = largest k
     fully certified by the brute-force oracle at every tested length.
     """
@@ -484,14 +473,14 @@ def aprank_bounds(expr_or_points, n_max: int = 3, anchor=None,
         tested = []
         for n in range(1, n_max + 1):
             try:
-                ap = li_ap_in_meyer(expr, n, anchor, budget=budget)
+                ap = li_ap_in_meyer(expr, n, budget=budget)
             except BudgetExceeded:
                 break
             certificates.append((n, ap))
             tested.append(n)
         return ApRankBracket(k, k, "theorem-d-plus-m", tuple(certificates), tuple(tested))
 
-    points = [p if isinstance(p, tuple) else (p,) for p in expr_or_points]
+    points = [_as_point(p) for p in expr_or_points]
     upper = rank_over_Q([flatten_vector(p) for p in points])
     tested = tuple(range(1, n_max + 1))
     for k in range(upper, 0, -1):

@@ -127,6 +127,8 @@ def _cmd_crt(args) -> tuple[dict, int]:
 def _cmd_find_ap(args) -> tuple[dict, int]:
     if args.expr and args.oracle:
         raise ParseError("--oracle needs --cps: it enumerates the model set")
+    if args.expr and args.window:
+        raise ParseError("--window needs --cps: an expression takes its windows from its branches")
     if args.expr:
         expr = _files.load_expr(args.expr)
         cps = expr.cps
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the progression against enumerated points")
     p.add_argument("--rank-target", type=int,
-                   help="expected rank (defaults to d+m; mismatch fails)")
+                   help="expected rank; mismatch fails (no rank is checked when omitted)")
     add_budget(p)
     p.set_defaults(fn=_cmd_find_ap)
 

@@ -123,11 +123,7 @@ class Ball:
     def contains(self, point) -> bool:
         if len(point) != self.dim:
             raise ValueError("point dimension mismatch")
-        dist = QuadScalar(0)
-        for x, c in zip(point, self.center):
-            delta = as_quad(x) - c
-            dist = dist + delta * delta
-        return (dist - self.radius_sq).sign() <= 0
+        return (_dist_sq(map(as_quad, point), self.center) - self.radius_sq).sign() <= 0
 
     def rational_bounds(self) -> tuple[list[Fraction], list[Fraction]]:
         r = sqrt_upper(self.radius_sq)
@@ -605,30 +601,23 @@ def _nearest_sq(points):
     return nearest
 
 
+def _gaps(values):
+    """Nonzero gaps between consecutive values in sorted order."""
+    vals = sorted(values)
+    return [gap for gap in (b - a for a, b in zip(vals, vals[1:])) if gap]
+
+
 def _min_pairwise_dist_sq(pts, budget=DEFAULT_BUDGET):
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    dim = len(pts[0])
-    if dim == 1:
-        vals = sorted(p[0] for p in pts)
-        best = None
-        for a, b in zip(vals, vals[1:]):
-            gap = b - a
-            if gap:
-                g2 = gap * gap
-                if best is None or g2 < best:
-                    best = g2
-        if best is None:
-            raise ValueError("all points coincide")
-        return best
-    if len(pts) * len(pts) > budget:
-        raise BudgetExceeded("pairwise distance scan exceeds budget")
-    best = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d2 = _dist_sq(pts[i], pts[j])
-            if d2 and (best is None or d2 < best):
-                best = d2
+    if len(pts[0]) == 1:
+        least = min(_gaps(p[0] for p in pts), default=None)
+        best = None if least is None else least * least
+    else:
+        if len(pts) * len(pts) > budget:
+            raise BudgetExceeded("pairwise distance scan exceeds budget")
+        dists = (_dist_sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+        best = min((d2 for d2 in dists if d2), default=None)
     if best is None:
         raise ValueError("all points coincide")
     return best
@@ -648,13 +637,7 @@ def delone_certificate(points, region, resolution=Fraction(1, 8)):
     min_sq = _min_pairwise_dist_sq(pts)
     dim = len(pts[0])
     if dim == 1:
-        vals = sorted(p[0] for p in pts)
-        worst = QuadScalar(0)
-        for a, b in zip(vals, vals[1:]):
-            gap = b - a
-            if gap > worst:
-                worst = gap
-        max_bound = quad_bounds(worst, bits=40)[1]
+        max_bound = quad_bounds(max(_gaps(p[0] for p in pts)), bits=40)[1]
     else:
         lo, hi = region.rational_bounds()
         nearest = _nearest_sq(pts)
@@ -668,15 +651,8 @@ def delone_certificate(points, region, resolution=Fraction(1, 8)):
 
 
 def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):
-    k = lo / step
-    k0 = k.numerator // k.denominator
-    out = []
-    v = k0 * step
-    while v <= hi:
-        if v >= lo:
-            out.append(v)
-        v += step
-    return out
+    """The multiples of `step` in [lo, hi], ascending."""
+    return [k * step for k in range(ceil(lo / step), floor(hi / step) + 1)]
 
 
 def meyer_certificate(points, budget=DEFAULT_BUDGET):

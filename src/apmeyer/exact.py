@@ -148,9 +148,6 @@ class QuadScalar:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.a, -self.b, self.D)
-
     def norm(self) -> Fraction:
         return self.a * self.a - self.b * self.b * self.D
 
@@ -459,108 +456,50 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (S, U, V) with S = U * mat * V diagonal, d_1 | d_2 | ... | d_r > 0."""
+    """Return (S, U, V) with S = U * mat * V diagonal, d_1 | d_2 | ... | d_r > 0.
+
+    Division with remainder: the pivot is a nonzero entry of least magnitude
+    in the trailing block; `//` clears its row and column down to remainders
+    smaller than the pivot, and the pivot is picked again while one is left.
+    """
     S = _check_int_matrix(mat)
     nr, nc = len(S), len(S[0])
     U = _identity(nr)
     V = _identity(nc)
-
-    def row_gcd_transform(t, i):
-        # unimodular on rows t, i: makes S[t][t] = gcd, S[i][t] = 0
-        a, b = S[t][t], S[i][t]
-        g, x, y = _ext_gcd(a, b)
-        p, q = a // g, b // g
-        for M in (S, U):
-            rt, ri = M[t], M[i]
-            for j in range(len(rt)):
-                rt[j], ri[j] = x * rt[j] + y * ri[j], -q * rt[j] + p * ri[j]
-
-    def col_gcd_transform(t, j):
-        a, b = S[t][t], S[t][j]
-        g, x, y = _ext_gcd(a, b)
-        p, q = a // g, b // g
-        for M, h in ((S, nr), (V, nc)):
-            for i in range(h):
-                M[i][t], M[i][j] = x * M[i][t] + y * M[i][j], -q * M[i][t] + p * M[i][j]
-
     t = 0
     while t < min(nr, nc):
-        # pivot: smallest nonzero magnitude in the trailing block
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if S[i][j] and (piv is None or abs(S[i][j]) < abs(S[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+        block = [(abs(S[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if S[i][j]]
+        if not block:
             break
-        if piv[0] != t:
-            S[t], S[piv[0]] = S[piv[0]], S[t]
-            U[t], U[piv[0]] = U[piv[0]], U[t]
-        if piv[1] != t:
-            for i in range(nr):
-                S[i][t], S[i][piv[1]] = S[i][piv[1]], S[i][t]
-            for i in range(nc):
-                V[i][t], V[i][piv[1]] = V[i][piv[1]], V[i][t]
-        while True:
-            for i in range(t + 1, nr):
-                if S[i][t]:
-                    if S[i][t] % S[t][t] == 0:
-                        q = S[i][t] // S[t][t]
-                        S[i] = [x - q * y for x, y in zip(S[i], S[t])]
-                        U[i] = [x - q * y for x, y in zip(U[i], U[t])]
-                    else:
-                        # strictly shrinks |pivot|, so this branch fires finitely often
-                        row_gcd_transform(t, i)
-            for j in range(t + 1, nc):
-                if S[t][j]:
-                    if S[t][j] % S[t][t] == 0:
-                        q = S[t][j] // S[t][t]
-                        for i in range(nr):
-                            S[i][j] -= q * S[i][t]
-                        for i in range(nc):
-                            V[i][j] -= q * V[i][t]
-                    else:
-                        col_gcd_transform(t, j)
-            if all(S[i][t] == 0 for i in range(t + 1, nr)) and all(
-                S[t][j] == 0 for j in range(t + 1, nc)
-            ):
-                break
-        # divisor chain fixup: pivot must divide the trailing block
-        offender = None
+        _, pi, pj = min(block)
+        S[t], S[pi] = S[pi], S[t]
+        U[t], U[pi] = U[pi], U[t]
+        for row in S + V:
+            row[t], row[pj] = row[pj], row[t]
+        p = S[t][t]
         for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if S[i][j] % S[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+            q = S[i][t] // p
+            S[i] = [x - q * y for x, y in zip(S[i], S[t])]
+            U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+        for j in range(t + 1, nc):
+            q = S[t][j] // p
+            for row in S + V:
+                row[j] -= q * row[t]
+        if any(S[i][t] for i in range(t + 1, nr)) or any(S[t][j] for j in range(t + 1, nc)):
+            continue  # a remainder, smaller than |p|, is the next pivot
+        # divisor chain fixup: the pivot must divide the trailing block
+        offender = next(
+            (i for i in range(t + 1, nr) if any(S[i][j] % p for j in range(t + 1, nc))), None
+        )
         if offender is not None:
-            for j in range(nc):
-                S[t][j] += S[offender][j]
-            for j in range(nr):
-                U[t][j] += U[offender][j]
+            S[t] = [x + y for x, y in zip(S[t], S[offender])]
+            U[t] = [x + y for x, y in zip(U[t], U[offender])]
             continue
-        if S[t][t] < 0:
-            for j in range(nc):
-                S[t][j] = -S[t][j]
-            for j in range(nr):
-                U[t][j] = -U[t][j]
+        if p < 0:
+            S[t] = [-x for x in S[t]]
+            U[t] = [-x for x in U[t]]
         t += 1
     return S, U, V
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def smith_divisors(mat) -> list[int]:

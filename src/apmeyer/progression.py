@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .cps import DEFAULT_BUDGET
 from .errors import BudgetExceeded
 from .exact import IntEchelon, flatten_vector, rank_over_Q
-
-DEFAULT_POINT_BUDGET = 10 ** 6
 
 
 def _add(p, q):
@@ -25,6 +24,16 @@ def _add(p, q):
 
 def _scale(p, c):
     return tuple(c * x for x in p)
+
+
+def _as_point(p):
+    """A tuple or list point as a tuple; a bare scalar as the 1-d point (p,)."""
+    return tuple(p) if isinstance(p, (tuple, list)) else (p,)
+
+
+def _shift(p, v):
+    """p + v for a coordinate tuple, or by the point's own `+` (`ExprPoint`)."""
+    return _add(p, v) if isinstance(p, tuple) else p + v
 
 
 @dataclass(frozen=True)
@@ -51,14 +60,14 @@ class ArithmeticProgression:
         p = self.base
         for c, r in zip(coeffs, self.ratios):
             if c:
-                p = p + _scale(r, c) if not isinstance(p, tuple) else _add(p, _scale(r, c))
+                p = _shift(p, _scale(r, c))
         return p
 
     def coefficient_cube(self):
         return product(range(self.length + 1), repeat=self.dimension)
 
 
-def ap_points(ap: ArithmeticProgression, budget=DEFAULT_POINT_BUDGET):
+def ap_points(ap: ArithmeticProgression, budget=DEFAULT_BUDGET):
     """All (N+1)^n points in lexicographic coefficient order."""
     total = (ap.length + 1) ** ap.dimension
     if total > budget:
@@ -66,7 +75,7 @@ def ap_points(ap: ArithmeticProgression, budget=DEFAULT_POINT_BUDGET):
     return [ap.point(c) for c in ap.coefficient_cube()]
 
 
-def is_proper(ap: ArithmeticProgression, budget=DEFAULT_POINT_BUDGET) -> bool:
+def is_proper(ap: ArithmeticProgression, budget=DEFAULT_BUDGET) -> bool:
     """True iff all points are pairwise distinct (exact comparison)."""
     pts = ap_points(ap, budget)
     return len(set(pts)) == len(pts)
@@ -128,14 +137,12 @@ def embed_rank1(line, n: int, length: int) -> ArithmeticProgression:
     needed = length * sum(coeffs.values)
     if n_line < needed:
         raise ValueError(f"line length {n_line} < required {needed}")
-    s = s if isinstance(s, tuple) else (s,)
-    r = r if isinstance(r, tuple) else (r,)
-    ratios = [_scale(r, m) for m in coeffs.values]
-    return ArithmeticProgression(s, tuple(ratios), length, kind="module")
+    ratios = [_scale(_as_point(r), m) for m in coeffs.values]
+    return ArithmeticProgression(_as_point(s), tuple(ratios), length, kind="module")
 
 
 def verify_ap(ap: ArithmeticProgression, member, region=None, physical=None,
-              budget=DEFAULT_POINT_BUDGET) -> bool:
+              budget=DEFAULT_BUDGET) -> bool:
     """True iff every point satisfies `member` and, when given, lies in `region`.
 
     `physical` maps a point to its physical coordinates for the region check
@@ -150,7 +157,7 @@ def verify_ap(ap: ArithmeticProgression, member, region=None, physical=None,
     return True
 
 
-def brute_force_li_ap(points, n: int, length: int, budget=DEFAULT_POINT_BUDGET):
+def brute_force_li_ap(points, n: int, length: int, budget=DEFAULT_BUDGET):
     """Exhaustive search for an n-dimensional li-progression of length N in a
     finite point set; None means no such progression exists in the set.
 
@@ -160,8 +167,7 @@ def brute_force_li_ap(points, n: int, length: int, budget=DEFAULT_POINT_BUDGET):
     the set is a difference from its base, and every subset of an independent
     tuple is independent, so pruning never skips a witness.
     """
-    pts = [p if isinstance(p, tuple) else (p,) for p in points]
-    pts = sorted(set(pts), key=_sort_key)
+    pts = sorted({_as_point(p) for p in points}, key=_sort_key)
     if not pts:
         return None
     if length == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NoMonoGrid, verify
-from .progression import ArithmeticProgression, _add, _scale, ap_points, ap_rank
+from .progression import ArithmeticProgression, _as_point, _scale, _shift, ap_points, ap_rank
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def transfer_ap(ap: ArithmeticProgression, decompose, translates, target_depth: 
     Raises NoMonoGrid when the input progression is too short (callers retry
     with a longer progression, typically by doubling).
     """
-    translates = [tuple(t) if isinstance(t, (tuple, list)) else (t,) for t in translates]
+    translates = [_as_point(t) for t in translates]
 
     def translate_index(p):
         idx = decompose(p)
@@ -150,6 +150,5 @@ def transfer_ap(ap: ArithmeticProgression, decompose, translates, target_depth: 
             "retry with a longer progression"
         )
     sub, winner = found
-    shift = _scale(translates[winner], -1)
-    base = _add(sub.base, shift) if isinstance(sub.base, tuple) else sub.base + shift
+    base = _shift(sub.base, _scale(translates[winner], -1))
     return ArithmeticProgression(base, sub.ratios, target_depth, kind=ap.kind)

@@ -20,6 +20,7 @@ from apmeyer.aprank import (
     inscribe_box,
     li_ap_in_meyer,
     li_ap_in_model_set,
+    make_translate,
     meyer_expr,
     mono_li_ap,
     rank_gap_example,
@@ -383,6 +384,31 @@ def test_meyer_expr_membership_and_decompose():
     assert expr_contains(expr, ExprPoint((F(1), F(1))))      # 1+phi
     assert not expr_contains(expr, ExprPoint((F(0), F(1))))  # phi: star outside
     assert branch_decompose(expr, ExprPoint((F(1), F(0)))) == 0
+
+
+_RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(_RATIONAL, _RATIONAL),
+    st.dictionaries(st.sampled_from(["s1", "s2", "s3"]), st.integers(-3, 3).filter(bool)),
+    st.one_of(
+        st.tuples(_RATIONAL, _RATIONAL).map(lambda ab: QuadScalar(ab[0], ab[1], 5)),
+        st.sampled_from(["s1", "s2", "s4"]),
+    ),
+)
+def test_expr_point_plus_then_minus_round_trips(coords, tags, spec):
+    if isinstance(spec, str):
+        t = SymbolicTranslate(spec, (0.0,))
+    else:
+        t = make_translate(fib(), [spec])
+    p = ExprPoint(coords, tuple(sorted(tags.items())))
+    assert p.plus(t).minus(t) == p
+    assert p.minus(t).plus(t) == p
+    bare = ExprPoint(coords)
+    assert bare.plus(t).minus(t).tags == ()
+    assert bare.plus(t).tags == (((t.tag, 1),) if t.symbolic else ())
 
 
 def test_meyer_expr_rejects_translate_outside_span():

@@ -178,6 +178,8 @@ def test_find_ap_argument_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
     # the oracle enumerates a model set, which an expression does not name
     assert main(["find-ap", "--expr", path, "--length", "2", "--oracle"]) == 2
+    # an expression's windows come from its branches
+    assert main(["find-ap", "--expr", path, "--length", "2", "--window", "[5,6]"]) == 2
     # fibonacci has one physical axis
     assert main(["find-ap", "--cps", "fibonacci", "--window", "[0,1]",
                  "--length", "2", "--at", "1,2"]) == 2

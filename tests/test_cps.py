@@ -489,6 +489,32 @@ def _delone_bound_oracle(points, region, resolution):
     return 2 * (sqrt_upper(worst_sq) + resolution)
 
 
+def _stepping_range(lo, hi, step):
+    """`_rational_range` as it was first written: step up from floor(lo/step)."""
+    k = lo / step
+    k0 = k.numerator // k.denominator
+    out = []
+    v = k0 * step
+    while v <= hi:
+        if v >= lo:
+            out.append(v)
+        v += step
+    return out
+
+
+_RANGE_END = st.fractions(min_value=-30, max_value=30, max_denominator=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RANGE_END, _RANGE_END, st.fractions(min_value=F(1, 20), max_value=5, max_denominator=20))
+def test_rational_range_matches_the_stepping_oracle(lo, hi, step):
+    assert _rational_range(lo, hi, step) == _stepping_range(lo, hi, step)
+    # the covering certificate's probe axis: -steps..steps multiples of the step
+    half = abs(hi)
+    steps = int(half / step)
+    assert _rational_range(-half, half, step) == [k * step for k in range(-steps, steps + 1)]
+
+
 @pytest.mark.parametrize("name, window, side, resolution", [
     ("integer_lattice(2)", None, 4, F(1, 2)),
     ("ammann_beenker", Box([F(-1)] * 2, [F(1)] * 2), 5, F(1, 2)),

@@ -3,9 +3,10 @@ import time
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd, isqrt
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apmeyer import exact
@@ -456,6 +457,142 @@ def test_smith_against_minor_gcd_oracle(nr, nc, data):
     UAV = [[sum(U[i][k] * AV[k][j] for k in range(nr)) for j in range(nc)] for i in range(nr)]
     assert UAV == S
     assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+
+
+def _old_smith_normal_form(mat):
+    """The extended-gcd Smith normal form that division with remainder
+    replaced, kept as the oracle: S is unique, U and V need not be."""
+    S = [list(map(int, r)) for r in mat]
+    nr, nc = len(S), len(S[0])
+    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    V = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def ext_gcd(a, b):
+        old_r, r = a, b
+        old_s, s = 1, 0
+        old_t, t = 0, 1
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_s, s = s, old_s - q * s
+            old_t, t = t, old_t - q * t
+        if old_r < 0:
+            old_r, old_s, old_t = -old_r, -old_s, -old_t
+        return old_r, old_s, old_t
+
+    def row_gcd_transform(t, i):
+        a, b = S[t][t], S[i][t]
+        g, x, y = ext_gcd(a, b)
+        p, q = a // g, b // g
+        for M in (S, U):
+            rt, ri = M[t], M[i]
+            for j in range(len(rt)):
+                rt[j], ri[j] = x * rt[j] + y * ri[j], -q * rt[j] + p * ri[j]
+
+    def col_gcd_transform(t, j):
+        a, b = S[t][t], S[t][j]
+        g, x, y = ext_gcd(a, b)
+        p, q = a // g, b // g
+        for M, h in ((S, nr), (V, nc)):
+            for i in range(h):
+                M[i][t], M[i][j] = x * M[i][t] + y * M[i][j], -q * M[i][t] + p * M[i][j]
+
+    t = 0
+    while t < min(nr, nc):
+        piv = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if S[i][j] and (piv is None or abs(S[i][j]) < abs(S[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            S[t], S[piv[0]] = S[piv[0]], S[t]
+            U[t], U[piv[0]] = U[piv[0]], U[t]
+        if piv[1] != t:
+            for i in range(nr):
+                S[i][t], S[i][piv[1]] = S[i][piv[1]], S[i][t]
+            for i in range(nc):
+                V[i][t], V[i][piv[1]] = V[i][piv[1]], V[i][t]
+        while True:
+            for i in range(t + 1, nr):
+                if S[i][t]:
+                    if S[i][t] % S[t][t] == 0:
+                        q = S[i][t] // S[t][t]
+                        S[i] = [x - q * y for x, y in zip(S[i], S[t])]
+                        U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+                    else:
+                        row_gcd_transform(t, i)
+            for j in range(t + 1, nc):
+                if S[t][j]:
+                    if S[t][j] % S[t][t] == 0:
+                        q = S[t][j] // S[t][t]
+                        for i in range(nr):
+                            S[i][j] -= q * S[i][t]
+                        for i in range(nc):
+                            V[i][j] -= q * V[i][t]
+                    else:
+                        col_gcd_transform(t, j)
+            if all(S[i][t] == 0 for i in range(t + 1, nr)) and all(
+                S[t][j] == 0 for j in range(t + 1, nc)
+            ):
+                break
+        offender = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if S[i][j] % S[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            for j in range(nc):
+                S[t][j] += S[offender][j]
+            for j in range(nr):
+                U[t][j] += U[offender][j]
+            continue
+        if S[t][t] < 0:
+            for j in range(nc):
+                S[t][j] = -S[t][j]
+            for j in range(nr):
+                U[t][j] = -U[t][j]
+        t += 1
+    return S, U, V
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _matrix_and_targets(draw):
+    """An integer matrix up to 5 x 5, row coefficients and a small shift."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.integers(-1000, 1000) | st.integers(-6, 6)
+    mat = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=nr, max_size=nr))
+    shift = draw(st.lists(st.integers(-1, 1), min_size=nc, max_size=nc))
+    return mat, coeffs, shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix_and_targets())
+@example(([[2, 0], [0, 3]], [0, 1], [1, 0]))
+@example(([[4, 0, 0], [0, 6, 0], [0, 0, 10]], [1, 1, 1], [0, 0, 1]))
+def test_smith_matches_the_extended_gcd_oracle(case):
+    mat, coeffs, shift = case
+    nc = len(mat[0])
+    S, U, V = smith_normal_form(mat)
+    old_S, _, _ = _old_smith_normal_form(mat)
+    assert S == old_S
+    assert _matmul(_matmul(U, mat), V) == S
+    assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+    inside = [sum(c * row[j] for c, row in zip(coeffs, mat)) for j in range(nc)]
+    outside = [x + e for x, e in zip(inside, shift)]
+    assert module_contains(mat, inside)
+    with patch.object(exact, "smith_normal_form", _old_smith_normal_form):
+        expected = module_contains(mat, outside)
+    assert module_contains(mat, outside) == expected
 
 
 # -- submodule multiplier ----------------------------------------------------
