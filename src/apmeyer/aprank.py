@@ -32,7 +32,7 @@ from .cps import (
     refine_lattice,
     trivial_window,
 )
-from .errors import BudgetExceeded, NotInLattice, RankGapError, verify
+from .errors import BudgetExceeded, NotInLattice, RankGapError, charge, metered, verify
 from .exact import (
     IntEchelon,
     QuadScalar,
@@ -47,10 +47,10 @@ from .progression import ArithmeticProgression, _as_point, ap_rank, brute_force_
 from .vdw import mono_subprogression
 
 
-def _verified(ap, member, rank, budget):
+def _verified(ap, member, rank):
     """`ap` after exact re-verification: every point satisfies `member` and
     the ratios have the given rank; raises `VerificationFailed` otherwise."""
-    verify(verify_ap(ap, member, budget=budget),
+    verify(verify_ap(ap, member),
            "progression point failed its exact membership check")
     verify(ap_rank(ap) == rank, "progression rank is below d+m")
     return ap
@@ -190,13 +190,13 @@ def branch_decompose(expr: MeyerExpr, point: ExprPoint):
     return None
 
 
-def sample_points(expr: MeyerExpr, halfwidth=Fraction(10), budget=DEFAULT_BUDGET):
+def sample_points(expr: MeyerExpr, halfwidth=Fraction(10)):
     """Deterministic finite sample: each branch enumerated over a centered box
     in its own frame, then translated."""
     region = Box([-halfwidth] * expr.cps.d, [halfwidth] * expr.cps.d)
     out = []
     for branch in expr.branches:
-        pts = enumerate_model_set(expr.cps, branch.window, region, budget)
+        pts = enumerate_model_set(expr.cps, branch.window, region)
         out += (ExprPoint(tuple(map(Fraction, p.coords))).plus(branch.translate) for p in pts)
     return out
 
@@ -206,7 +206,8 @@ def sample_module_rank(expr: MeyerExpr, budget=DEFAULT_BUDGET) -> int:
     default half-width, with exact symbolic bookkeeping: lattice coordinates
     plus one axis per symbolic tag."""
     tag_order = expr.tags()
-    pts = sample_points(expr, budget=budget)
+    with metered(budget):
+        pts = sample_points(expr)
     return rank_over_Q([p.flatten(tag_order) for p in pts])
 
 
@@ -265,7 +266,7 @@ def inscribe_box(window) -> Box:
 # ---------------------------------------------------------------------------
 
 # Least-recently-used certificates kept per process; a key is (scheme, window,
-# resolution, span), so the budget of the first call decides a cached entry.
+# resolution, span).  A hit charges nothing; a miss that raises is not cached.
 COVER_CACHE_SIZE = 1024
 
 
@@ -278,7 +279,6 @@ class _CoverJob:
     window: object = field(compare=False)
     resolution: Fraction = field(compare=False)
     span: Fraction = field(compare=False)
-    budget: int = field(compare=False)
 
 
 def covering_radius_certificate(cps, window, resolution=Fraction(1, 10),
@@ -292,25 +292,22 @@ def covering_radius_certificate(cps, window, resolution=Fraction(1, 10),
     are cached in a bounded LRU cache of `COVER_CACHE_SIZE` entries.
     """
     key = (cps.key(), window.key() if window is not None else None, resolution, span)
-    return _cover_radius(_CoverJob(key, cps, window, resolution, span, budget))
+    with metered(budget):
+        return _cover_radius(_CoverJob(key, cps, window, resolution, span))
 
 
 @lru_cache(maxsize=COVER_CACHE_SIZE)
 def _cover_radius(job: _CoverJob) -> Fraction:
-    cps, window, resolution, span, budget = (
-        job.cps, job.window, job.resolution, job.span, job.budget
-    )
+    cps, window, resolution, span = job.cps, job.window, job.resolution, job.span
     d = cps.d
     region = Box([-span] * d, [span] * d)
-    pts = enumerate_model_set(cps, window, region, budget)
+    pts = enumerate_model_set(cps, window, region)
     if not pts:
         raise BudgetExceeded("no model-set point within the certificate span; window too thin")
     nearest = _nearest_sq([p.physical for p in pts])
     half = Fraction(span, 2)
     axis = _rational_range(-half, half, resolution)
-    probe_count = len(axis) ** d
-    if probe_count > budget:
-        raise BudgetExceeded(f"{probe_count} probes exceed budget {budget}")
+    charge(len(axis) ** d)
     worst = -1.0
     worst_probe = None
     for probe in product(axis, repeat=d):
@@ -336,18 +333,19 @@ def independent_ratios(cps, window, budget=DEFAULT_BUDGET):
     target = cps.d + cps.m
     origin = (Fraction(0),) * cps.d
     rho = Fraction(2)
-    for _ in range(32):
-        pts = enumerate_model_set(cps, window, Ball(origin, rho * rho), budget)
-        pts = [p for p in pts if any(p.coords)]
-        pts.sort(key=lambda p: (_dist_sq(p.physical, origin), _neg_coords(p)))
-        ech = IntEchelon(target)
-        picks = []
-        for p in pts:
-            if ech.insert(p.coords):
-                picks.append(p)
-                if len(picks) == target:
-                    return picks
-        rho *= 2
+    with metered(budget):
+        for _ in range(32):
+            pts = enumerate_model_set(cps, window, Ball(origin, rho * rho))
+            pts = [p for p in pts if any(p.coords)]
+            pts.sort(key=lambda p: (_dist_sq(p.physical, origin), _neg_coords(p)))
+            ech = IntEchelon(target)
+            picks = []
+            for p in pts:
+                if ech.insert(p.coords):
+                    picks.append(p)
+                    if len(picks) == target:
+                        return picks
+            rho *= 2
     raise BudgetExceeded("independent ratio search exhausted its radius doublings")
 
 
@@ -365,35 +363,36 @@ def li_ap_in_model_set(cps, window, length, anchor=None, budget=DEFAULT_BUDGET):
     box = inscribe_box(window) if cps.m else trivial_window()
     factor = max(1, length * (cps.d + cps.m))
     u_win, v_win = shrink_window(box, factor)
-    ratios = independent_ratios(cps, v_win, budget)
-    rprime = covering_radius_certificate(cps, u_win, budget=budget)
-    base = None
-    for _ in range(16):
-        cands = enumerate_model_set(cps, u_win, Ball(anchor, rprime * rprime), budget)
-        if cands:
-            base = min(
-                cands,
-                key=lambda p: (_dist_sq(p.physical, anchor), _neg_coords(p)),
-            )
-            break
-        rprime *= 2
-    if base is None:
-        raise BudgetExceeded("no base point found; covering radius escalation exhausted")
+    with metered(budget):
+        ratios = independent_ratios(cps, v_win)
+        rprime = covering_radius_certificate(cps, u_win)
+        base = None
+        for _ in range(16):
+            cands = enumerate_model_set(cps, u_win, Ball(anchor, rprime * rprime))
+            if cands:
+                base = min(
+                    cands,
+                    key=lambda p: (_dist_sq(p.physical, anchor), _neg_coords(p)),
+                )
+                break
+            rprime *= 2
+        if base is None:
+            raise BudgetExceeded("no base point found; covering radius escalation exhausted")
 
-    radius = rprime
-    for r in ratios:
-        norm_up = quad_bounds(_dist_sq(r.physical, (0,) * cps.d), bits=40)[1]
-        radius += length * sqrt_upper(norm_up)
+        radius = rprime
+        for r in ratios:
+            norm_up = quad_bounds(_dist_sq(r.physical, (0,) * cps.d), bits=40)[1]
+            radius += length * sqrt_upper(norm_up)
 
-    ap = ArithmeticProgression(base.coords, tuple(r.coords for r in ratios), length)
-    radius_sq = radius * radius
+        ap = ArithmeticProgression(base.coords, tuple(r.coords for r in ratios), length)
+        radius_sq = radius * radius
 
-    def member(z):
-        pt = cps.star(z)
-        return ((not cps.m or window.contains(pt.internal))
-                and (_dist_sq(pt.physical, anchor) - radius_sq).sign() <= 0)
+        def member(z):
+            pt = cps.star(z)
+            return ((not cps.m or window.contains(pt.internal))
+                    and (_dist_sq(pt.physical, anchor) - radius_sq).sign() <= 0)
 
-    return _verified(ap, member, cps.d + cps.m, budget), radius
+        return _verified(ap, member, cps.d + cps.m), radius
 
 
 def mono_li_ap(cps, window, depth, coloring, anchor=None, budget=DEFAULT_BUDGET):
@@ -404,20 +403,21 @@ def mono_li_ap(cps, window, depth, coloring, anchor=None, budget=DEFAULT_BUDGET)
     at `anchor`; iterative deepening replaces any explicit van der Waerden
     bound."""
     n = max(depth, 1)
-    for _ in range(12):
-        ap, _ = li_ap_in_model_set(cps, window, n, anchor, budget)
-        found = mono_subprogression(ap, coloring, depth)
-        if found is not None:
-            break
-        n *= 2
-    else:
-        raise BudgetExceeded("monochromatic search exhausted its deepening budget")
-    out, color = found
+    with metered(budget):
+        for _ in range(12):
+            ap, _ = li_ap_in_model_set(cps, window, n, anchor)
+            found = mono_subprogression(ap, coloring, depth)
+            if found is not None:
+                break
+            n *= 2
+        else:
+            raise BudgetExceeded("monochromatic search exhausted its deepening budget")
+        out, color = found
 
-    def member(z):
-        return coloring(z) == color and (not cps.m or window.contains(cps.star(z).internal))
+        def member(z):
+            return coloring(z) == color and (not cps.m or window.contains(cps.star(z).internal))
 
-    return _verified(out, member, cps.d + cps.m, budget)
+        return _verified(out, member, cps.d + cps.m)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +438,11 @@ def li_ap_in_meyer(expr: MeyerExpr, length, anchor=None, budget=DEFAULT_BUDGET):
         shifted_anchor = anchor  # nearness to the anchor is informative only
     else:
         shifted_anchor = tuple(a - tp for a, tp in zip(anchor, t.physical))
-    ap0, _ = li_ap_in_model_set(cps, branch.window, length, shifted_anchor, budget)
-    base = ExprPoint(tuple(map(Fraction, ap0.base))).plus(t)
-    out = ArithmeticProgression(base, ap0.ratios, length, kind="module")
-    return _verified(out, lambda p: expr_contains(expr, p), cps.d + cps.m, budget)
+    with metered(budget):
+        ap0, _ = li_ap_in_model_set(cps, branch.window, length, shifted_anchor)
+        base = ExprPoint(tuple(map(Fraction, ap0.base))).plus(t)
+        out = ArithmeticProgression(base, ap0.ratios, length, kind="module")
+        return _verified(out, lambda p: expr_contains(expr, p), cps.d + cps.m)
 
 
 @dataclass(frozen=True)
@@ -465,35 +466,38 @@ def aprank_bounds(expr_or_points, n_max: int = 3, budget=DEFAULT_BUDGET) -> ApRa
     upper bound is structural).
     Raw point samples: upper = rank of the sampled module, lower = largest k
     fully certified by the brute-force oracle at every tested length.
+    All tested lengths share one meter of `budget` units.
     """
     if isinstance(expr_or_points, MeyerExpr):
         expr = expr_or_points
         k = expr.rank_upper
         certificates = []
         tested = []
-        for n in range(1, n_max + 1):
-            try:
-                ap = li_ap_in_meyer(expr, n, budget=budget)
-            except BudgetExceeded:
-                break
-            certificates.append((n, ap))
-            tested.append(n)
+        with metered(budget):
+            for n in range(1, n_max + 1):
+                try:
+                    ap = li_ap_in_meyer(expr, n)
+                except BudgetExceeded:
+                    break
+                certificates.append((n, ap))
+                tested.append(n)
         return ApRankBracket(k, k, "theorem-d-plus-m", tuple(certificates), tuple(tested))
 
     points = [_as_point(p) for p in expr_or_points]
     upper = rank_over_Q([flatten_vector(p) for p in points])
     tested = tuple(range(1, n_max + 1))
-    for k in range(upper, 0, -1):
-        certificates = []
-        complete = True
-        for n in tested:
-            ap = brute_force_li_ap(points, k, n, budget)
-            if ap is None:
-                complete = False
-                break
-            certificates.append((n, ap))
-        if complete:
-            return ApRankBracket(k, upper, "module-rank", tuple(certificates), tested)
+    with metered(budget):
+        for k in range(upper, 0, -1):
+            certificates = []
+            complete = True
+            for n in tested:
+                ap = brute_force_li_ap(points, k, n)
+                if ap is None:
+                    complete = False
+                    break
+                certificates.append((n, ap))
+            if complete:
+                return ApRankBracket(k, upper, "module-rank", tuple(certificates), tested)
     return ApRankBracket(0, upper, "module-rank", (), tested)
 
 
@@ -540,7 +544,8 @@ def euclideanize(expr: MeyerExpr, sample_halfwidth=Fraction(20),
         g = lift_translate(refined, branch.translate.physical)
         parts.append((g, branch.window))
     window2 = ShiftedUnion(parts).simplify()
-    report = verify_euclideanization(expr, refined, window2, sample_halfwidth, budget)
+    with metered(budget):
+        report = verify_euclideanization(expr, refined, window2, sample_halfwidth)
     verify(report["violations"] == 0, "euclideanization verification failed")
     return refined, window2, report
 
@@ -556,15 +561,14 @@ def refinement_multiplier(expr: MeyerExpr) -> int:
     return mult
 
 
-def verify_euclideanization(expr, refined, window2, halfwidth=Fraction(20),
-                            budget=DEFAULT_BUDGET) -> dict:
+def verify_euclideanization(expr, refined, window2, halfwidth=Fraction(20)) -> dict:
     """Check that every sampled expression point lies in the refined model set.
 
     Refined coordinates are the original rational coordinates scaled by the
     refinement multiplier, so integrality and star membership are exact.
     """
     mult = refinement_multiplier(expr)
-    pts = sample_points(expr, halfwidth, budget)
+    pts = sample_points(expr, halfwidth)
     violations = 0
     for p in pts:
         coords = [c * mult for c in p.coords]

@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--budget", type=int, default=_cps.DEFAULT_BUDGET,
-                       help="point/search budget (default %(default)s)")
+                       help="work units per library call: enumeration nodes and candidates, "
+                            "probes, progression points, tuples, pairs (default %(default)s)")
 
     p = sub.add_parser("gen", help="enumerate a model set in a region")
     p.add_argument("--cps", required=True, help="builtin name or CPS JSON file")

@@ -13,6 +13,9 @@ exact inverse generator matrix), cut by the exact slab of every constraint
 row whose generator coefficients vanish beyond that coordinate.  The slabs
 are solved from the same outward rational brackets, so no point of the model
 set is lost; the survivors are then decided by exact star membership.
+
+The budget counts work, not box cells: one unit per node of the walk at any
+level and per leaf candidate, per distance pair and per difference.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import ceil, floor
 
-from .errors import BudgetExceeded, NotInLattice, UnboundedRegion
+from .errors import DEFAULT_BUDGET, NotInLattice, UnboundedRegion, charge, metered
 from .exact import (
     QuadScalar,
     as_quad,
@@ -34,8 +37,6 @@ from .exact import (
     solve_columns,
     sqrt_upper,
 )
-
-DEFAULT_BUDGET = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +92,7 @@ class Box:
         )
 
     def key(self):
-        return (
-            "box",
-            tuple((q.a, q.b, q.D) for q in self.lo),
-            tuple((q.a, q.b, q.D) for q in self.hi),
-            self.lo_closed,
-            self.hi_closed,
-        )
+        return ("box", self.lo, self.hi, self.lo_closed, self.hi_closed)
 
     def __repr__(self):
         axes = ", ".join(
@@ -132,7 +127,7 @@ class Ball:
         return los, his
 
     def key(self):
-        return ("ball", tuple((q.a, q.b, q.D) for q in self.center), self.radius_sq)
+        return ("ball", self.center, self.radius_sq)
 
     def __repr__(self):
         return f"Ball(center=({', '.join(map(str, self.center))}), radius_sq={self.radius_sq})"
@@ -182,10 +177,7 @@ class ShiftedUnion:
         return self
 
     def key(self):
-        return (
-            "shifted_union",
-            tuple((tuple((q.a, q.b, q.D) for q in shift), base.key()) for shift, base in self.parts),
-        )
+        return ("shifted_union", tuple((shift, base.key()) for shift, base in self.parts))
 
     def __repr__(self):
         return f"ShiftedUnion({len(self.parts)} parts)"
@@ -302,12 +294,7 @@ class CutProjectScheme:
         return self._inverse
 
     def key(self):
-        return (
-            self.d,
-            self.m,
-            self.D,
-            tuple(tuple((q.a, q.b, q.D) for q in g) for g in self.generators),
-        )
+        return (self.d, self.m, self.D, self.generators)
 
     def __repr__(self):
         label = self.name or f"{self.d}+{self.m}"
@@ -383,14 +370,15 @@ def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
     los_i <= (G.z)_i <= his_i for each full-space coordinate i, where
     [los_i, his_i] are the outward rational brackets of region x window.
     The integer bounding box (those brackets under the exact inverse matrix,
-    rounded outward) bounds every coordinate, and its size is checked
-    against `budget`.  Coordinates are then fixed in order: at level k each
-    row i whose last nonzero generator coefficient g sits in column k pins
+    rounded outward) bounds every coordinate.  Coordinates are then fixed in
+    order: at level k each row i whose last nonzero generator coefficient g
+    sits in column k pins
     z_k to the exact ceil/floor of (los_i - s_i)/g and (his_i - s_i)/g, with
     s_i the exact partial sum of the fixed prefix.  Empty ranges are pruned,
     and each surviving z goes through `cps.star` and the exact
     `region.contains` / `window.contains`.  Output is in lexicographic order
-    of the integer coordinates.
+    of the integer coordinates.  Each node (at any level) and each leaf
+    candidate charges one unit of `budget` to the run (`errors.charge`).
     """
     if not isinstance(region, (Box, Ball)):
         raise UnboundedRegion(f"region must be a bounded box or ball, got {region!r}")
@@ -407,7 +395,6 @@ def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
     his = rhi + whi
     inv = cps.inverse_matrix()
     ranges = []
-    total = 1
     for row in inv:
         lo, hi = _interval_dot(row, los, his)
         zlo = lo.__ceil__()
@@ -415,9 +402,6 @@ def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
         if zhi < zlo:
             return []
         ranges.append((zlo, zhi))
-        total *= zhi - zlo + 1
-        if total > budget:
-            raise BudgetExceeded(f"integer bounding box of size {total} exceeds budget {budget}")
 
     n = cps.d + cps.m
     columns = cps.generators
@@ -432,7 +416,8 @@ def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
 
     points = []
 
-    def descend(k, prefix, sums):
+    def descend(k, prefix, sums, charge=charge):
+        charge()
         zlo, zhi = ranges[k]
         for i, inv_g, first, second in slabs[k]:
             zlo = max(zlo, ceil((first - sums[i]) * inv_g))
@@ -440,6 +425,7 @@ def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
         if zhi < zlo:
             return
         if k == n - 1:
+            charge(zhi - zlo + 1)
             for c in range(zlo, zhi + 1):
                 p = cps.star(prefix + (c,))
                 if region.contains(p.physical) and window.contains(p.internal):
@@ -451,7 +437,8 @@ def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
             descend(k + 1, prefix + (c,), sums)
             sums = [s + x if x else s for s, x in zip(sums, column)]
 
-    descend(0, (), [QuadScalar(0)] * n)
+    with metered(budget):
+        descend(0, (), [QuadScalar(0)] * n)
     return points
 
 
@@ -557,7 +544,7 @@ def _as_physical_tuples(points):
 def _dist_sq(p, q) -> QuadScalar:
     total = QuadScalar(0)
     for x, y in zip(p, q):
-        delta = x - y
+        delta = x - y if y else x
         total = total + delta * delta
     return total
 
@@ -607,15 +594,14 @@ def _gaps(values):
     return [gap for gap in (b - a for a, b in zip(vals, vals[1:])) if gap]
 
 
-def _min_pairwise_dist_sq(pts, budget=DEFAULT_BUDGET):
+def _min_pairwise_dist_sq(pts):
     if len(pts) < 2:
         raise ValueError("need at least two points")
     if len(pts[0]) == 1:
         least = min(_gaps(p[0] for p in pts), default=None)
         best = None if least is None else least * least
     else:
-        if len(pts) * len(pts) > budget:
-            raise BudgetExceeded("pairwise distance scan exceeds budget")
+        charge(len(pts) * len(pts))
         dists = (_dist_sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
         best = min((d2 for d2 in dists if d2), default=None)
     if best is None:
@@ -664,12 +650,7 @@ def meyer_certificate(points, budget=DEFAULT_BUDGET):
     pts = _as_physical_tuples(points)
     if len(pts) < 2:
         raise ValueError("need at least two points for a Meyer certificate")
-    diffs = {}
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            if i != j:
-                d = tuple(x - y for x, y in zip(pts[i], pts[j]))
-                diffs[tuple((q.a, q.b, q.D) for q in d)] = d
-        if len(diffs) * len(diffs) > budget:
-            raise BudgetExceeded("difference set grew past the budget")
-    return _min_pairwise_dist_sq(list(diffs.values()), budget=budget)
+    with metered(budget):
+        charge(len(pts) * (len(pts) - 1))
+        diffs = dict.fromkeys(tuple(x - y for x, y in zip(p, q)) for p, q in permutations(pts, 2))
+        return _min_pairwise_dist_sq(list(diffs))

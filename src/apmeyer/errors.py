@@ -1,4 +1,12 @@
-"""Shared exception types."""
+"""Shared exception types, the exact re-verification guard and the budget meter."""
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+DEFAULT_BUDGET = 10 ** 6
+
+# [units charged, budget] of the active run; None outside a run
+_METER = ContextVar("apmeyer_meter", default=None)
 
 
 class ApMeyerError(Exception):
@@ -41,6 +49,29 @@ def verify(ok: bool, message: str) -> None:
     """Exact re-verification guard; unlike `assert`, it survives `python -O`."""
     if not ok:
         raise VerificationFailed(message)
+
+
+@contextmanager
+def metered(budget):
+    """Run the body as one run of at most `budget` work units; inside an
+    active meter, the body charges that meter and `budget` is ignored."""
+    if _METER.get() is not None:
+        yield
+        return
+    token = _METER.set([0, budget])
+    try:
+        yield
+    finally:
+        _METER.reset(token)
+
+
+def charge(n=1):
+    """Charge `n` units to the active run (outside one, alone against the
+    default); raises `BudgetExceeded` once the total passes the budget."""
+    meter = _METER.get() or [0, DEFAULT_BUDGET]
+    meter[0] += n
+    if meter[0] > meter[1]:
+        raise BudgetExceeded(f"work of {meter[0]} units exceeds the budget of {meter[1]}")
 
 
 class RankGapError(ApMeyerError):

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cps import DEFAULT_BUDGET
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, charge, metered
 from .exact import IntEchelon, flatten_vector, rank_over_Q
 
 
@@ -69,9 +68,8 @@ class ArithmeticProgression:
 
 def ap_points(ap: ArithmeticProgression, budget=DEFAULT_BUDGET):
     """All (N+1)^n points in lexicographic coefficient order."""
-    total = (ap.length + 1) ** ap.dimension
-    if total > budget:
-        raise BudgetExceeded(f"progression expands to {total} points, budget {budget}")
+    with metered(budget):
+        charge((ap.length + 1) ** ap.dimension)
     return [ap.point(c) for c in ap.coefficient_cube()]
 
 
@@ -141,20 +139,9 @@ def embed_rank1(line, n: int, length: int) -> ArithmeticProgression:
     return ArithmeticProgression(_as_point(s), tuple(ratios), length, kind="module")
 
 
-def verify_ap(ap: ArithmeticProgression, member, region=None, physical=None,
-              budget=DEFAULT_BUDGET) -> bool:
-    """True iff every point satisfies `member` and, when given, lies in `region`.
-
-    `physical` maps a point to its physical coordinates for the region check
-    (defaults to the identity)."""
-    for p in ap_points(ap, budget):
-        if not member(p):
-            return False
-        if region is not None:
-            x = physical(p) if physical is not None else p
-            if not region.contains(x):
-                return False
-    return True
+def verify_ap(ap: ArithmeticProgression, member, budget=DEFAULT_BUDGET) -> bool:
+    """True iff every point satisfies `member`."""
+    return all(member(p) for p in ap_points(ap, budget))
 
 
 def brute_force_li_ap(points, n: int, length: int, budget=DEFAULT_BUDGET):
@@ -174,16 +161,14 @@ def brute_force_li_ap(points, n: int, length: int, budget=DEFAULT_BUDGET):
         # a single point is trivially a progression of any dimension
         return ArithmeticProgression(pts[0], (), 0, kind="module")
     point_set = set(pts)
-    counter = [0]
-    for base in pts:
-        diffs = [_add(p, _scale(base, -1)) for p in pts if p != base]
-        flat = [flatten_vector(d) for d in diffs]
-        order = sorted(range(len(diffs)), key=lambda i: _sort_key(diffs[i]))
-        found = _search_tuples(
-            base, diffs, flat, order, n, length, point_set, budget, counter
-        )
-        if found is not None:
-            return found
+    with metered(budget):
+        for base in pts:
+            diffs = [_add(p, _scale(base, -1)) for p in pts if p != base]
+            flat = [flatten_vector(d) for d in diffs]
+            order = sorted(range(len(diffs)), key=lambda i: _sort_key(diffs[i]))
+            found = _search_tuples(base, diffs, flat, order, n, length, point_set)
+            if found is not None:
+                return found
     return None
 
 
@@ -191,13 +176,11 @@ def _sort_key(p):
     return tuple(flatten_vector(p))
 
 
-def _search_tuples(base, diffs, flat, order, n, length, point_set, budget, counter):
+def _search_tuples(base, diffs, flat, order, n, length, point_set):
     def recurse(start, chosen, ech):
         for pos in range(start, len(order)):
             idx = order[pos]
-            counter[0] += 1
-            if counter[0] > budget:
-                raise BudgetExceeded("brute-force search budget exceeded")
+            charge()
             snapshot = list(ech.rows)
             if not ech.insert(flat[idx]):
                 continue

@@ -153,9 +153,8 @@ def test_criterion_03_constructive_li_ap():
         ball = Ball([y], radius * radius)
         assert verify_ap(
             ap,
-            member=lambda z: UNIT.contains(fib.star(z).internal),
-            region=ball,
-            physical=lambda z: fib.star(z).physical,
+            member=lambda z: (UNIT.contains(fib.star(z).internal)
+                              and ball.contains(fib.star(z).physical)),
         )
     # pinned fixture: base 1+phi, ratios 3+5phi and 5+8phi, length 1
     base, r1, r2 = (1, 1), (3, 5), (5, 8)

@@ -38,7 +38,13 @@ from apmeyer.cps import (
     enumerate_model_set,
     trivial_window,
 )
-from apmeyer.errors import BudgetExceeded, NotInLattice, RankGapError, VerificationFailed
+from apmeyer.errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    NotInLattice,
+    RankGapError,
+    VerificationFailed,
+)
 from apmeyer.exact import QuadScalar, quad_bounds, sqrt_upper
 from apmeyer.files import ap_to_dict
 from apmeyer.progression import ap_points, ap_rank, verify_ap
@@ -237,6 +243,19 @@ def test_covering_certificate_thin_window_errors():
         covering_radius_certificate(fib(), thin, F(1, 10), span=F(4))
 
 
+def test_covering_certificate_budget_counts_walk_and_probes():
+    # Z over [-2, 2]: one node and five candidates, then probes -1, 0 and 1;
+    # every probe is a lattice point, so the bound is one resolution step
+    il = builtin("integer_lattice(1)")
+    aprank._cover_radius.cache_clear()
+    with pytest.raises(BudgetExceeded):
+        covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=6 + 3 - 1)
+    assert covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=6 + 3) == 1
+    # a cached certificate charges nothing
+    assert covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=0) == 1
+    aprank._cover_radius.cache_clear()
+
+
 def test_covering_cache_is_bounded_and_reused(monkeypatch):
     aprank._cover_radius.cache_clear()
     calls = []
@@ -376,6 +395,26 @@ def test_mono_li_ap_rejects_partial_coloring():
         mono_li_ap(fib(), UNIT, 1, lambda z: None)
 
 
+def test_planar_ammann_beenker_constructions_at_the_default_budget():
+    # the integer bounding boxes of these enumerations hold millions of
+    # cells; the budget counts the few thousand nodes the walk visits
+    ab = builtin("ammann_beenker")
+    window = Box([F(-1)] * 2, [F(1)] * 2)
+
+    def parity(z):
+        return sum(z) % 2
+
+    ap, radius = li_ap_in_model_set(ab, window, 2)
+    ball = Ball([F(0)] * 2, radius * radius)
+    assert ap.length == 2 and ap_rank(ap) == 4
+    assert verify_ap(ap, lambda z: window.contains(ab.star(z).internal)
+                     and ball.contains(ab.star(z).physical))
+    mono = mono_li_ap(ab, window, 2, parity)
+    assert mono.length == 2 and ap_rank(mono) == 4
+    assert verify_ap(mono, lambda z: window.contains(ab.star(z).internal)
+                     and parity(z) == parity(mono.base))
+
+
 # -- Meyer expressions ---------------------------------------------------------------
 
 def test_meyer_expr_membership_and_decompose():
@@ -484,6 +523,23 @@ def test_aprank_bounds_fibonacci():
     assert [n for n, _ in bracket.certificates] == [1, 2, 3]
     for n, ap in bracket.certificates:
         assert ap.length == n and ap_rank(ap) == 2
+
+
+def test_aprank_bounds_shares_one_meter_across_lengths():
+    expr = meyer_expr(fib(), [(None, UNIT)])
+    li_ap_in_meyer(expr, 1)
+    li_ap_in_meyer(expr, 2)  # with both certificates cached, the costs are fixed
+    lo, hi = 0, DEFAULT_BUDGET
+    while lo < hi:  # the least budget under which length 2 succeeds alone
+        mid = (lo + hi) // 2
+        try:
+            li_ap_in_meyer(expr, 2, budget=mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid + 1
+    li_ap_in_meyer(expr, 1, budget=lo)
+    assert aprank_bounds(expr, 2, budget=lo).tested_lengths == (1,)
+    assert aprank_bounds(expr, 2).tested_lengths == (1, 2)
 
 
 def test_aprank_bounds_integer_lattice():

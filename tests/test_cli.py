@@ -100,8 +100,7 @@ def test_rank_command(tmp_path, capsys):
 
 def test_find_ap_planar_ammann_beenker(capsys):
     code, report = run(capsys, "find-ap", "--cps", "ammann_beenker",
-                       "--window", "[-1,1]x[-1,1]", "--length", "2",
-                       "--budget", "100000000")
+                       "--window", "[-1,1]x[-1,1]", "--length", "2")
     assert code == 0
     result = report["result"]
     assert result["rank"] == 4
@@ -190,7 +189,7 @@ def test_aprank_budget_bounds_the_module_sample(tmp_path, capsys):
     expr = meyer_expr(builtin("fibonacci"), [([F(1, 3)], Box([F(0)], [F(1, 2)]))])
     path = tmp_path / "expr.json"
     path.write_text(json.dumps(expr_to_dict(expr)))
-    code = main(["aprank", "--expr", str(path), "--lengths", "2", "--budget", "50"])
+    code = main(["aprank", "--expr", str(path), "--lengths", "2", "--budget", "10"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:") and captured.out == ""

@@ -25,7 +25,7 @@ from apmeyer.cps import (
     trivial_window,
     validate,
 )
-from apmeyer.errors import BudgetExceeded, NotInLattice, UnboundedRegion
+from apmeyer.errors import BudgetExceeded, NotInLattice, UnboundedRegion, metered
 from apmeyer.exact import QuadScalar, quad_bounds, rank_over_Q, sqrt_upper
 
 F = Fraction
@@ -354,16 +354,60 @@ def test_slab_enumeration_mixed_ammann_beenker_is_nonempty():
     assert [p.coords for p in got] == [p.coords for p in box_and_filter(cps, window, region)]
 
 
-def test_enumerate_budget_is_the_bounding_box_size():
+def _fib_walk_units(monkeypatch, window, region):
+    """Nodes plus leaf candidates of the fibonacci walk, counted from outside.
+
+    Both constraint rows of fibonacci end in column 1, so the root's range is
+    the first bounding-box range: one root, one node per z_0 in that range,
+    and one candidate per `star` call."""
+    stars = []
+    star = CutProjectScheme.star
+
+    def counting(self, z):
+        stars.append(z)
+        return star(self, z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CutProjectScheme, "star", counting)
+        enumerate_model_set(fib(), window, region)
+    return 1 + len(bounding_box(fib(), window, region)[0]) + len(stars)
+
+
+def test_enumerate_budget_is_the_node_and_candidate_count(monkeypatch):
     window = Box([F(0)], [F(1)])
     region = Ball([F(1, 3)], F(400))
-    size = 1
-    for r in bounding_box(fib(), window, region):
-        size *= len(r)
-    pts = enumerate_model_set(fib(), window, region, budget=size)
+    units = _fib_walk_units(monkeypatch, window, region)
+    assert units == 1 + 12 + 19
+    pts = enumerate_model_set(fib(), window, region, budget=units)
     assert [p.coords for p in pts] == [p.coords for p in box_and_filter(fib(), window, region)]
+    assert len(pts) == 19
     with pytest.raises(BudgetExceeded):
-        enumerate_model_set(fib(), window, region, budget=size - 1)
+        enumerate_model_set(fib(), window, region, budget=units - 1)
+
+
+def test_top_level_call_after_budget_exceeded_starts_a_fresh_meter():
+    window = Box([F(0)], [F(1)])
+    region = Ball([F(1, 3)], F(400))
+    with pytest.raises(BudgetExceeded):
+        enumerate_model_set(fib(), window, region, budget=31)
+    assert len(enumerate_model_set(fib(), window, region, budget=32)) == 19
+    with pytest.raises(BudgetExceeded):
+        with metered(40):
+            enumerate_model_set(fib(), window, region)
+            enumerate_model_set(fib(), window, region)
+    assert len(enumerate_model_set(fib(), window, region, budget=32)) == 19
+
+
+def test_nested_public_call_charges_the_outer_meter():
+    window = Box([F(0)], [F(1)])
+    region = Ball([F(1, 3)], F(400))
+    with metered(63):
+        enumerate_model_set(fib(), window, region, budget=10 ** 6)
+        with pytest.raises(BudgetExceeded):
+            enumerate_model_set(fib(), window, region, budget=10 ** 6)
+    with metered(64):
+        enumerate_model_set(fib(), window, region, budget=32)
+        enumerate_model_set(fib(), window, region, budget=1)
 
 
 def test_trivial_window_degenerate_scheme():
@@ -568,6 +612,14 @@ def test_meyer_certificate_examples():
     assert meyer_certificate(pts).sign() > 0
     with pytest.raises(ValueError):
         meyer_certificate([(F(0),)])
+
+
+def test_meyer_certificate_budget_counts_differences_and_pairs():
+    # 3 * 2 differences, all 6 distinct, then 6 * 6 pairs in the scan
+    pts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+    assert meyer_certificate(pts, budget=6 + 36) == 1
+    with pytest.raises(BudgetExceeded):
+        meyer_certificate(pts, budget=6 + 35)
 
 
 # -- module generation (rank of the sampled point module) -----------------------

@@ -229,7 +229,7 @@ def test_brute_force_budget():
 def test_verify_ap_with_region():
     ap = ArithmeticProgression((0,), ((2,),), 3)
     inside = Box([F(0)], [F(6)])
-    assert verify_ap(ap, lambda p: p[0] % 2 == 0, region=inside)
+    assert verify_ap(ap, lambda p: p[0] % 2 == 0 and inside.contains(p))
     small = Box([F(0)], [F(5)])
-    assert not verify_ap(ap, lambda p: p[0] % 2 == 0, region=small)
+    assert not verify_ap(ap, lambda p: p[0] % 2 == 0 and small.contains(p))
     assert not verify_ap(ap, lambda p: p[0] % 4 == 0)
