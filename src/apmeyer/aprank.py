@@ -32,7 +32,7 @@ from .cps import (
     refine_lattice,
     trivial_window,
 )
-from .errors import BudgetExceeded, NotInLattice, RankGapError, charge, metered, verify
+from .errors import BudgetExceeded, NotInLattice, RankGapError, charge, charged, metered, verify
 from .exact import (
     IntEchelon,
     QuadScalar,
@@ -266,7 +266,9 @@ def inscribe_box(window) -> Box:
 # ---------------------------------------------------------------------------
 
 # Least-recently-used certificates kept per process; a key is (scheme, window,
-# resolution, span).  A hit charges nothing; a miss that raises is not cached.
+# resolution, span).  An entry keeps the units its miss charged, and a hit
+# charges them again, so a budget refuses the same calls cold or warm; a miss
+# that raises is not cached.
 COVER_CACHE_SIZE = 1024
 
 
@@ -293,12 +295,17 @@ def covering_radius_certificate(cps, window, resolution=Fraction(1, 10),
     """
     key = (cps.key(), window.key() if window is not None else None, resolution, span)
     with metered(budget):
-        return _cover_radius(_CoverJob(key, cps, window, resolution, span))
+        before = charged()
+        radius, units = _cover_radius(_CoverJob(key, cps, window, resolution, span))
+        charge(units - (charged() - before))  # 0 on a miss, which charged as it went
+        return radius
 
 
 @lru_cache(maxsize=COVER_CACHE_SIZE)
-def _cover_radius(job: _CoverJob) -> Fraction:
+def _cover_radius(job: _CoverJob) -> tuple[Fraction, int]:
+    """(certified radius, units charged to compute it)."""
     cps, window, resolution, span = job.cps, job.window, job.resolution, job.span
+    before = charged()
     d = cps.d
     region = Box([-span] * d, [span] * d)
     pts = enumerate_model_set(cps, window, region)
@@ -316,7 +323,7 @@ def _cover_radius(job: _CoverJob) -> Fraction:
             worst = dd
             worst_probe = probe
     upper_sq = quad_bounds(nearest(worst_probe, exact=True), bits=40)[1]
-    return sqrt_upper(upper_sq) + resolution
+    return sqrt_upper(upper_sq) + resolution, charged() - before
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +336,12 @@ def _neg_coords(p):
 
 def independent_ratios(cps, window, budget=DEFAULT_BUDGET):
     """First d+m linearly independent model-set points of the given window,
-    scanned by growing exact norm (positive representative preferred)."""
+    scanned by growing exact norm (positive representative preferred).
+
+    Raises `ValueError` before any enumeration when the internal projection
+    is not dense: then no d+m independent points with small star exist."""
+    if cps.density == "failed":
+        raise ValueError(f"{cps!r}: the internal projection of the lattice is not dense")
     target = cps.d + cps.m
     origin = (Fraction(0),) * cps.d
     rho = Fraction(2)

@@ -218,9 +218,11 @@ class LatticePoint:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Exact checks of a scheme; `density` is `CutProjectScheme.density`."""
+
     lattice_invertible: bool
     projection_injective: bool
-    density: str  # proved | assumed | unverified | failed | vacuous
+    density: str  # proved | failed | vacuous
 
     @property
     def ok(self) -> bool:
@@ -234,7 +236,7 @@ class ValidationReport:
 class CutProjectScheme:
     """Lattice of rank d+m with physical part in R^d and internal part in R^m."""
 
-    def __init__(self, d, m, D, generators, density="unverified", name=None):
+    def __init__(self, d, m, D, generators, name=None):
         self.d = int(d)
         self.m = int(m)
         self.D = int(D)
@@ -246,7 +248,6 @@ class CutProjectScheme:
         if any(x.b and x.D != self.D for g in gens for x in g):
             raise ValueError(f"every irrational generator entry must use sqrt({self.D})")
         self.generators = gens
-        self.density = density
         self.name = name
         self._inverse = None
 
@@ -274,6 +275,16 @@ class CutProjectScheme:
 
     def internal_of(self, coords) -> tuple[QuadScalar, ...]:
         return tuple(self._combine(coords, self.d, self.d + self.m))
+
+    @property
+    def density(self) -> str:
+        """Whether the internal projection H of the lattice is dense in R^m:
+        `vacuous` for m = 0, else `proved` iff the (1, sqrt(D)) coefficient
+        vectors of the internal parts span Q^(2m), else `failed`."""
+        if not self.m:
+            return "vacuous"
+        rank = rank_over_Q([flatten_vector(g[self.d:]) for g in self.generators])
+        return "proved" if rank == 2 * self.m else "failed"
 
     # -- exact inverse of the generator matrix ------------------------------
 
@@ -305,20 +316,9 @@ class CutProjectScheme:
 # validation
 # ---------------------------------------------------------------------------
 
-def _axis_is_dense(values) -> bool:
-    # the group generated by quadratic reals is dense in R iff some ratio is
-    # irrational, i.e. the (1, sqrt(D)) coefficient vectors have rank >= 2
-    vecs = [flatten_vector([v]) for v in values if v]
-    return rank_over_Q(vecs) >= 2
-
-
 def validate(cps: CutProjectScheme) -> ValidationReport:
-    """Exact lattice/injectivity checks plus a density status.
-
-    Density of the internal projection is decided exactly for m <= 1; for
-    m >= 2 a failed per-axis test refutes density, otherwise the declared
-    status (proved for built-ins, assumed for user files) is reported.
-    """
+    """Exact lattice and injectivity checks, with the density the scheme
+    derives from its generators; the report is ok unless a check fails."""
     try:
         cps.inverse_matrix()
         invertible = True
@@ -326,21 +326,7 @@ def validate(cps: CutProjectScheme) -> ValidationReport:
         invertible = False
     phys_rows = [flatten_vector(cps.physical_part(g)) for g in cps.generators]
     injective = rank_over_Q(phys_rows) == cps.d + cps.m
-    if cps.m == 0:
-        density = "vacuous"
-    else:
-        axis_dense = [
-            _axis_is_dense([g[cps.d + i] for g in cps.generators]) for i in range(cps.m)
-        ]
-        if not all(axis_dense):
-            density = "failed"
-        elif cps.m == 1:
-            density = "proved"
-        elif cps.density in ("proved", "assumed"):
-            density = cps.density
-        else:
-            density = "unverified"
-    return ValidationReport(invertible, injective, density)
+    return ValidationReport(invertible, injective, cps.density)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +439,7 @@ def refine_lattice(cps: CutProjectScheme, n: int) -> CutProjectScheme:
         raise ValueError("refinement factor must be a positive integer")
     gens = [tuple(x / n for x in g) for g in cps.generators]
     name = None if cps.name is None else f"{cps.name}/{n}"
-    return CutProjectScheme(cps.d, cps.m, cps.D, gens, density=cps.density, name=name)
+    return CutProjectScheme(cps.d, cps.m, cps.D, gens, name=name)
 
 
 def rational_coords(cps: CutProjectScheme, t):
@@ -491,18 +477,12 @@ def builtin(name: str) -> CutProjectScheme:
         half = Fraction(1, 2)
         phi = QuadScalar(half, half, 5)
         phi_bar = QuadScalar(half, -half, 5)
-        return CutProjectScheme(
-            1, 1, 5,
-            [(QuadScalar(1), QuadScalar(1)), (phi, phi_bar)],
-            density="proved", name="fibonacci",
-        )
+        return CutProjectScheme(1, 1, 5, [(QuadScalar(1), QuadScalar(1)), (phi, phi_bar)],
+                                name="fibonacci")
     if name == "silver_mean":
         r2 = QuadScalar(0, 1, 2)
-        return CutProjectScheme(
-            1, 1, 2,
-            [(QuadScalar(1), QuadScalar(1)), (1 + r2, 1 - r2)],
-            density="proved", name="silver_mean",
-        )
+        return CutProjectScheme(1, 1, 2, [(QuadScalar(1), QuadScalar(1)), (1 + r2, 1 - r2)],
+                                name="silver_mean")
     if name == "ammann_beenker":
         one = QuadScalar(1)
         zero = QuadScalar(0)
@@ -513,7 +493,7 @@ def builtin(name: str) -> CutProjectScheme:
             (zero, one, zero, one),
             (zero, r2, zero, -r2),
         ]
-        return CutProjectScheme(2, 2, 2, gens, density="proved", name="ammann_beenker")
+        return CutProjectScheme(2, 2, 2, gens, name="ammann_beenker")
     if name.startswith("integer_lattice(") and name.endswith(")"):
         d = int(name[len("integer_lattice("):-1])
         if d < 1:
@@ -521,7 +501,7 @@ def builtin(name: str) -> CutProjectScheme:
         gens = [
             tuple(QuadScalar(1 if i == j else 0) for i in range(d)) for j in range(d)
         ]
-        return CutProjectScheme(d, 0, 5, gens, density="proved", name=f"integer_lattice({d})")
+        return CutProjectScheme(d, 0, 5, gens, name=f"integer_lattice({d})")
     raise ValueError(f"unknown builtin scheme {name!r}")
 
 

@@ -65,6 +65,11 @@ def metered(budget):
         _METER.reset(token)
 
 
+def charged():
+    """Units charged so far to the active run."""
+    return _METER.get()[0]
+
+
 def charge(n=1):
     """Charge `n` units to the active run (outside one, alone against the
     default); raises `BudgetExceeded` once the total passes the budget."""

@@ -479,12 +479,14 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
         p = S[t][t]
         for i in range(t + 1, nr):
             q = S[i][t] // p
-            S[i] = [x - q * y for x, y in zip(S[i], S[t])]
-            U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+            if q:
+                S[i] = [x - q * y for x, y in zip(S[i], S[t])]
+                U[i] = [x - q * y for x, y in zip(U[i], U[t])]
         for j in range(t + 1, nc):
             q = S[t][j] // p
-            for row in S + V:
-                row[j] -= q * row[t]
+            if q:
+                for row in S + V:
+                    row[j] -= q * row[t]
         if any(S[i][t] for i in range(t + 1, nr)) or any(S[t][j] for j in range(t + 1, nc)):
             continue  # a remainder, smaller than |p|, is the next pivot
         # divisor chain fixup: the pivot must divide the trailing block

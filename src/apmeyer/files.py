@@ -45,11 +45,10 @@ def cps_to_dict(cps: CutProjectScheme) -> dict:
 
 
 def cps_from_dict(data: dict) -> CutProjectScheme:
+    """Scheme from `d`, `m`, `D` and `generators`.  A `density` key, which
+    `cps_to_dict` writes, is ignored: the scheme derives its density."""
     gens = [[parse_quad(x) for x in row] for row in data["generators"]]
-    density = data.get("density", "unverified")
-    if density not in ("proved", "assumed", "unverified"):
-        density = "unverified"
-    return CutProjectScheme(data["d"], data["m"], data["D"], gens, density=density)
+    return CutProjectScheme(data["d"], data["m"], data["D"], gens)
 
 
 def load_cps(spec: str) -> CutProjectScheme:

@@ -31,6 +31,7 @@ from apmeyer.aprank import (
 from apmeyer.cps import (
     Ball,
     Box,
+    CutProjectScheme,
     ShiftedUnion,
     _dist_sq,
     _nearest_sq,
@@ -251,8 +252,34 @@ def test_covering_certificate_budget_counts_walk_and_probes():
     with pytest.raises(BudgetExceeded):
         covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=6 + 3 - 1)
     assert covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=6 + 3) == 1
-    # a cached certificate charges nothing
-    assert covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=0) == 1
+    # a cached certificate charges the units of the miss that computed it
+    with pytest.raises(BudgetExceeded):
+        covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=6 + 3 - 1)
+    assert covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=6 + 3) == 1
+    aprank._cover_radius.cache_clear()
+
+
+def test_budget_refuses_the_same_calls_cold_and_warm():
+    # the least passing budget does not depend on what the cover cache holds
+    window = Box([F(0)], [F(1, 2)])
+    expr = meyer_expr(fib(), [([F(1, 3)], window)])
+    u_win, _ = shrink_window(window, 2)  # the window whose cover the call certifies
+    results = []
+    for warm in (False, True):
+        for budget in (150, 151):
+            aprank._cover_radius.cache_clear()
+            if warm:
+                radius = covering_radius_certificate(fib(), u_win)
+            try:
+                results.append((warm, budget, ap_to_dict(li_ap_in_meyer(expr, 1, budget=budget))))
+            except BudgetExceeded:
+                results.append((warm, budget, None))
+            assert aprank._cover_radius.cache_info().hits == int(warm)
+    ap = results[1][2]
+    assert ap is not None
+    assert results == [(False, 150, None), (False, 151, ap), (True, 150, None), (True, 151, ap)]
+    aprank._cover_radius.cache_clear()
+    assert covering_radius_certificate(fib(), u_win) == radius
     aprank._cover_radius.cache_clear()
 
 
@@ -281,6 +308,34 @@ def test_covering_cache_is_bounded_and_reused(monkeypatch):
 
 
 # -- independent ratios -----------------------------------------------------------
+
+def _two_plus_two():
+    # dense on each internal axis, not jointly: (1, -1) maps H onto Z
+    r2 = QuadScalar(0, 1, 2)
+    return CutProjectScheme(2, 2, 2, [
+        (1, 0, 1, 1), (-r2, 0, r2, r2), (0, 1, 1, 0), (0, -r2, 0, 1),
+    ])
+
+
+def test_constructions_refuse_a_non_dense_scheme_before_enumerating(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a non-dense scheme")
+
+    monkeypatch.setattr(aprank, "enumerate_model_set", no_enumeration)
+    cps = _two_plus_two()
+    window = Box([F(0)] * 2, [F(1)] * 2)
+    expr = meyer_expr(cps, [(None, window)])
+    calls = [
+        lambda: independent_ratios(cps, window),
+        lambda: li_ap_in_model_set(cps, window, 2),
+        lambda: mono_li_ap(cps, window, 1, lambda z: 0),
+        lambda: li_ap_in_meyer(expr, 1),
+        lambda: aprank_bounds(expr, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not dense"):
+            call()
+
 
 def test_independent_ratios_fibonacci_quarter_window():
     v = Box([F(-1, 4)], [F(1, 4)], (False,), (False,))

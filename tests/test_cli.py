@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,46 @@ def test_validate_failing_scheme(tmp_path, capsys):
     assert code == 1
     assert report["status"] == "fail"
     assert report["inputs"]["cps"]["sha256"]
+
+
+# dense on each internal axis, not jointly; the file's declared density is ignored
+TWO_PLUS_TWO = {
+    "d": 2, "m": 2, "D": 2,
+    "generators": [["1", "0", "1", "1"],
+                   ["0-1*sqrt(2)", "0", "0+1*sqrt(2)", "0+1*sqrt(2)"],
+                   ["0", "1", "1", "0"],
+                   ["0", "0-1*sqrt(2)", "0", "1"]],
+    "density": "proved",
+}
+
+
+def test_non_dense_scheme_fails_validation_and_is_refused_at_once(tmp_path, capsys):
+    path = tmp_path / "two_plus_two.json"
+    path.write_text(json.dumps(TWO_PLUS_TWO))
+    code, report = run(capsys, "validate", "--cps", str(path))
+    assert code == 1
+    assert report["result"]["density"] == "failed"
+    assert report["result"]["lattice_invertible"] and report["result"]["projection_injective"]
+    start = time.perf_counter()
+    code = main(["find-ap", "--cps", str(path), "--window", "[0,1]x[0,1]", "--length", "2"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not dense" in captured.err
+
+
+def test_declared_density_is_ignored(tmp_path, capsys):
+    payload = {
+        "d": 2, "m": 2, "D": 2,
+        "generators": [[quad.as_literal() for quad in g]
+                       for g in builtin("ammann_beenker").generators],
+        "density": "assumed",
+    }
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps(payload))
+    code, report = run(capsys, "validate", "--cps", str(path))
+    assert code == 0
+    assert report["result"]["density"] == "proved"
 
 
 def test_rank_command(tmp_path, capsys):
@@ -257,6 +298,10 @@ def test_example_command(tmp_path, capsys):
     code, report = run(capsys, "example", "rank_gap", "-n", "2")
     assert code == 0
     assert len(report["result"]["expr"]["branches"]) == 3
+
+    code, report = run(capsys, "example", "integer_lattice(2)")
+    assert code == 0
+    assert report["result"]["cps"]["density"] == "vacuous"
 
 
 def test_bad_inputs_exit_two(tmp_path, capsys):

@@ -26,7 +26,7 @@ from apmeyer.cps import (
     validate,
 )
 from apmeyer.errors import BudgetExceeded, NotInLattice, UnboundedRegion, metered
-from apmeyer.exact import QuadScalar, quad_bounds, rank_over_Q, sqrt_upper
+from apmeyer.exact import QuadScalar, flatten_vector, quad_bounds, rank_over_Q, sqrt_upper
 
 F = Fraction
 PHI = QuadScalar(F(1, 2), F(1, 2), 5)
@@ -109,6 +109,115 @@ def test_validate_rejects_non_dense_scheme():
     assert report.lattice_invertible
     assert not report.projection_injective  # kernel contains (0, 1)
     assert report.density == "failed"
+
+
+# -- density of the internal projection --------------------------------------------
+
+R2 = QuadScalar(0, 1, 2)
+
+# dense on each internal axis, but the functional (1, -1) maps the internal
+# projection onto Z
+TWO_PLUS_TWO = CutProjectScheme(2, 2, 2, [
+    (1, 0, 1, 1), (-R2, 0, R2, R2), (0, 1, 1, 0), (0, -R2, 0, 1),
+])
+
+
+def _axis_is_dense(values) -> bool:
+    """m = 1 oracle: the group generated by quadratic reals is dense in R iff
+    some ratio is irrational, i.e. the (1, sqrt(D)) vectors have rank >= 2."""
+    vecs = [flatten_vector([v]) for v in values if v]
+    return rank_over_Q(vecs) >= 2
+
+
+def test_two_plus_two_lattice_is_not_dense():
+    for i in range(2):
+        assert _axis_is_dense([g[2 + i] for g in TWO_PLUS_TWO.generators])
+    report = validate(TWO_PLUS_TWO)
+    assert report.lattice_invertible and report.projection_injective
+    assert report.density == "failed" and not report.ok
+
+
+def test_density_is_read_only():
+    with pytest.raises(AttributeError):
+        fib().density = "proved"
+
+
+def test_builtins_and_refinements_are_dense():
+    for name in ("fibonacci", "silver_mean", "ammann_beenker"):
+        for n in (1, 2, 6):
+            assert refine_lattice(builtin(name), n).density == "proved"
+    assert builtin("integer_lattice(2)").density == "vacuous"
+
+
+_D = st.sampled_from([2, 3, 5, 7])
+
+
+_QUAD = st.tuples(st.integers(-6, 6), st.integers(-2, 2), st.integers(1, 3))
+
+
+def _quads(D, n):
+    """n scalars (a + b*sqrt(D))/c, each a plain rational in about one in five."""
+    return st.lists(_QUAD, min_size=n, max_size=n).map(
+        lambda abcs: [QuadScalar(F(a, c), F(b, c), D) for a, b, c in abcs])
+
+
+def _scheme(d, D, internal):
+    """Scheme whose i-th generator has physical part e_i * sqrt(D) (e_0 for
+    i >= d) and internal part internal[i]; only the internal parts matter here."""
+    r = QuadScalar(0, 1, D)
+    gens = [[r if j == min(i, d - 1) else 0 for j in range(d)] + list(y)
+            for i, y in enumerate(internal)]
+    return CutProjectScheme(d, len(internal[0]), D, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), _D, st.integers(1, 2))
+def test_density_m1_matches_the_axis_oracle(data, D, d):
+    values = data.draw(_quads(D, d + 1))
+    cps = _scheme(d, D, [(v,) for v in values])
+    expected = "proved" if _axis_is_dense(values) else "failed"
+    assert cps.density == validate(cps).density == expected
+
+
+@st.composite
+def _unimodular(draw, n):
+    """Random unimodular integer matrix: a product of elementary row moves."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, k in draw(st.lists(moves, max_size=6)):
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(_D, _unimodular(4))
+def test_density_dense_family_minkowski_in_random_basis(D, u):
+    # Z[sqrt(D)]^2 by its Minkowski embedding: v in {1, sqrt(D)} per axis,
+    # physical part v and internal part its conjugate
+    r = QuadScalar(0, 1, D)
+    base = [(1, 0, 1, 0), (r, 0, -r, 0), (0, 1, 0, 1), (0, r, 0, -r)]
+    gens = [[sum((c * g[k] for c, g in zip(row, base)), QuadScalar(0)) for k in range(4)]
+            for row in u]
+    report = validate(CutProjectScheme(2, 2, D, gens))
+    assert report.ok and report.density == "proved"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), _D, st.integers(-3, 3), st.integers(-3, 3))
+def test_density_not_dense_family_integer_functional(data, D, f1, f2):
+    # internal parts y with f1*y_1 + f2*y_2 an integer k, for a nonzero f
+    if (f1, f2) == (0, 0):
+        f1 = 1
+    ks = data.draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    internal = []
+    for k, s in zip(ks, data.draw(_quads(D, 4))):
+        y = (s, (k - f1 * s) / f2) if f2 else ((k - f2 * s) / f1, s)
+        assert f1 * y[0] + f2 * y[1] == k
+        internal.append(y)
+    assert validate(_scheme(2, D, internal)).density == "failed"
 
 
 def test_scheme_rejects_foreign_radicand():
@@ -270,8 +379,7 @@ def _mixed_ammann_beenker():
     ab = builtin("ammann_beenker")
     g = ab.generators
     last = tuple(sum(col, QuadScalar(0)) for col in zip(*g))
-    return CutProjectScheme(2, 2, 2, [g[0], g[1], g[2], last], density="proved",
-                            name="ammann_beenker_mixed")
+    return CutProjectScheme(2, 2, 2, [g[0], g[1], g[2], last], name="ammann_beenker_mixed")
 
 
 SLAB_SCHEMES = {
