@@ -10,6 +10,7 @@ from .errors import (
     RankGapError,
     UnboundedRegion,
     VerificationFailed,
+    metered,
 )
 from .exact import (
     QuadScalar,

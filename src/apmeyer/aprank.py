@@ -21,7 +21,6 @@ from .cps import (
     Ball,
     Box,
     CutProjectScheme,
-    DEFAULT_BUDGET,
     ShiftedUnion,
     _dist_sq,
     _nearest_sq,
@@ -66,10 +65,7 @@ class LatticeTranslate:
 
     coords: tuple[Fraction, ...]
     physical: tuple[QuadScalar, ...]
-
-    @property
-    def symbolic(self) -> bool:
-        return False
+    symbolic = False  # a class attribute, not a field
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,7 @@ class SymbolicTranslate:
 
     tag: str
     approx: tuple[float, ...]
-
-    @property
-    def symbolic(self) -> bool:
-        return True
+    symbolic = True
 
 
 @dataclass(frozen=True)
@@ -127,10 +120,7 @@ def make_translate(cps: CutProjectScheme, spec) -> object:
 
 
 def meyer_expr(cps: CutProjectScheme, branch_specs) -> MeyerExpr:
-    branches = []
-    for translate_spec, window in branch_specs:
-        branches.append(Branch(make_translate(cps, translate_spec), window))
-    return MeyerExpr(cps, branches)
+    return MeyerExpr(cps, [Branch(make_translate(cps, t), w) for t, w in branch_specs])
 
 
 @dataclass(frozen=True)
@@ -201,12 +191,12 @@ def sample_points(expr: MeyerExpr, halfwidth=Fraction(10)):
     return out
 
 
-def sample_module_rank(expr: MeyerExpr, budget=DEFAULT_BUDGET) -> int:
+def sample_module_rank(expr: MeyerExpr) -> int:
     """Rank of the Z-module generated by the sample of `sample_points` at its
     default half-width, with exact symbolic bookkeeping: lattice coordinates
     plus one axis per symbolic tag."""
     tag_order = expr.tags()
-    with metered(budget):
+    with metered():
         pts = sample_points(expr)
     return rank_over_Q([p.flatten(tag_order) for p in pts])
 
@@ -284,7 +274,7 @@ class _CoverJob:
 
 
 def covering_radius_certificate(cps, window, resolution=Fraction(1, 10),
-                                span=Fraction(8), budget=DEFAULT_BUDGET) -> Fraction:
+                                span=Fraction(8)) -> Fraction:
     """Empirical covering radius bound for the model set of `window`.
 
     Enumerates the model set over [-span, span]^d, probes a centered grid of
@@ -294,7 +284,7 @@ def covering_radius_certificate(cps, window, resolution=Fraction(1, 10),
     are cached in a bounded LRU cache of `COVER_CACHE_SIZE` entries.
     """
     key = (cps.key(), window.key() if window is not None else None, resolution, span)
-    with metered(budget):
+    with metered():
         before = charged()
         radius, units = _cover_radius(_CoverJob(key, cps, window, resolution, span))
         charge(units - (charged() - before))  # 0 on a miss, which charged as it went
@@ -334,7 +324,7 @@ def _neg_coords(p):
     return tuple(-c for c in p.coords)
 
 
-def independent_ratios(cps, window, budget=DEFAULT_BUDGET):
+def independent_ratios(cps, window):
     """First d+m linearly independent model-set points of the given window,
     scanned by growing exact norm (positive representative preferred).
 
@@ -345,7 +335,7 @@ def independent_ratios(cps, window, budget=DEFAULT_BUDGET):
     target = cps.d + cps.m
     origin = (Fraction(0),) * cps.d
     rho = Fraction(2)
-    with metered(budget):
+    with metered():
         for _ in range(32):
             pts = enumerate_model_set(cps, window, Ball(origin, rho * rho))
             pts = [p for p in pts if any(p.coords)]
@@ -361,7 +351,7 @@ def independent_ratios(cps, window, budget=DEFAULT_BUDGET):
     raise BudgetExceeded("independent ratio search exhausted its radius doublings")
 
 
-def li_ap_in_model_set(cps, window, length, anchor=None, budget=DEFAULT_BUDGET):
+def li_ap_in_model_set(cps, window, length, anchor=None):
     """Linearly independent progression of rank d+m and the given length,
     inside the model set and inside B_R(anchor); returns (progression, R).
 
@@ -375,7 +365,7 @@ def li_ap_in_model_set(cps, window, length, anchor=None, budget=DEFAULT_BUDGET):
     box = inscribe_box(window) if cps.m else trivial_window()
     factor = max(1, length * (cps.d + cps.m))
     u_win, v_win = shrink_window(box, factor)
-    with metered(budget):
+    with metered():
         ratios = independent_ratios(cps, v_win)
         rprime = covering_radius_certificate(cps, u_win)
         base = None
@@ -407,7 +397,7 @@ def li_ap_in_model_set(cps, window, length, anchor=None, budget=DEFAULT_BUDGET):
         return _verified(ap, member, cps.d + cps.m), radius
 
 
-def mono_li_ap(cps, window, depth, coloring, anchor=None, budget=DEFAULT_BUDGET):
+def mono_li_ap(cps, window, depth, coloring, anchor=None):
     """Monochromatic li-progression of rank d+m and length `depth`.
 
     `coloring` maps integer lattice coordinates (tuples) to hashable colors
@@ -415,7 +405,7 @@ def mono_li_ap(cps, window, depth, coloring, anchor=None, budget=DEFAULT_BUDGET)
     at `anchor`; iterative deepening replaces any explicit van der Waerden
     bound."""
     n = max(depth, 1)
-    with metered(budget):
+    with metered():
         for _ in range(12):
             ap, _ = li_ap_in_model_set(cps, window, n, anchor)
             found = mono_subprogression(ap, coloring, depth)
@@ -436,7 +426,7 @@ def mono_li_ap(cps, window, depth, coloring, anchor=None, budget=DEFAULT_BUDGET)
 # progressions in structured Meyer sets
 # ---------------------------------------------------------------------------
 
-def li_ap_in_meyer(expr: MeyerExpr, length, anchor=None, budget=DEFAULT_BUDGET):
+def li_ap_in_meyer(expr: MeyerExpr, length, anchor=None):
     """Rank-(d+m) li-progression of the given length inside the expression,
     built in branch 1 by `li_ap_in_model_set` and translated; every point
     re-verified exactly."""
@@ -450,7 +440,7 @@ def li_ap_in_meyer(expr: MeyerExpr, length, anchor=None, budget=DEFAULT_BUDGET):
         shifted_anchor = anchor  # nearness to the anchor is informative only
     else:
         shifted_anchor = tuple(a - tp for a, tp in zip(anchor, t.physical))
-    with metered(budget):
+    with metered():
         ap0, _ = li_ap_in_model_set(cps, branch.window, length, shifted_anchor)
         base = ExprPoint(tuple(map(Fraction, ap0.base))).plus(t)
         out = ArithmeticProgression(base, ap0.ratios, length, kind="module")
@@ -470,7 +460,7 @@ class ApRankBracket:
             raise ValueError("bracket invariant lower <= upper violated")
 
 
-def aprank_bounds(expr_or_points, n_max: int = 3, budget=DEFAULT_BUDGET) -> ApRankBracket:
+def aprank_bounds(expr_or_points, n_max: int = 3) -> ApRankBracket:
     """Bracket the ap-rank.
 
     Structured expressions: lower = upper = d+m (maximal-rank progressions are
@@ -478,27 +468,26 @@ def aprank_bounds(expr_or_points, n_max: int = 3, budget=DEFAULT_BUDGET) -> ApRa
     upper bound is structural).
     Raw point samples: upper = rank of the sampled module, lower = largest k
     fully certified by the brute-force oracle at every tested length.
-    All tested lengths share one meter of `budget` units.
+    All tested lengths share the run's meter; the first length that runs out
+    of budget ends the bracket and leaves the meter spent for the rest of the run.
     """
     if isinstance(expr_or_points, MeyerExpr):
         expr = expr_or_points
         k = expr.rank_upper
         certificates = []
-        tested = []
-        with metered(budget):
+        with metered():
             for n in range(1, n_max + 1):
                 try:
-                    ap = li_ap_in_meyer(expr, n)
+                    certificates.append((n, li_ap_in_meyer(expr, n)))
                 except BudgetExceeded:
                     break
-                certificates.append((n, ap))
-                tested.append(n)
-        return ApRankBracket(k, k, "theorem-d-plus-m", tuple(certificates), tuple(tested))
+        tested = tuple(n for n, _ in certificates)
+        return ApRankBracket(k, k, "theorem-d-plus-m", tuple(certificates), tested)
 
     points = [_as_point(p) for p in expr_or_points]
     upper = rank_over_Q([flatten_vector(p) for p in points])
     tested = tuple(range(1, n_max + 1))
-    with metered(budget):
+    with metered():
         for k in range(upper, 0, -1):
             certificates = []
             complete = True
@@ -537,8 +526,7 @@ def rank_gap_example(cps: CutProjectScheme, n: int, window=None) -> MeyerExpr:
 # euclideanization
 # ---------------------------------------------------------------------------
 
-def euclideanize(expr: MeyerExpr, sample_halfwidth=Fraction(20),
-                 budget=DEFAULT_BUDGET):
+def euclideanize(expr: MeyerExpr, sample_halfwidth=Fraction(20)):
     """Embed a structured Meyer set into a fully Euclidean model set.
 
     Rational translates force a lattice refinement by the lcm of their
@@ -556,7 +544,7 @@ def euclideanize(expr: MeyerExpr, sample_halfwidth=Fraction(20),
         g = lift_translate(refined, branch.translate.physical)
         parts.append((g, branch.window))
     window2 = ShiftedUnion(parts).simplify()
-    with metered(budget):
+    with metered():
         report = verify_euclideanization(expr, refined, window2, sample_halfwidth)
     verify(report["violations"] == 0, "euclideanization verification failed")
     return refined, window2, report

@@ -19,8 +19,9 @@ from . import cps as _cps
 from . import files as _files
 from . import progression as _prog
 from . import vdw as _vdw
-from .errors import ApMeyerError, NoMonoGrid, ParseError, RankGapError, VerificationFailed
-from .exact import as_quad, decimal_str, parse_quad
+from .errors import (DEFAULT_BUDGET, ApMeyerError, NoMonoGrid, ParseError, RankGapError,
+                     VerificationFailed, metered)
+from .exact import as_quad, decimal_str, flatten_vector, parse_quad, rank_over_Q
 
 
 def _dual(x) -> dict:
@@ -78,7 +79,7 @@ def _cmd_gen(args) -> tuple[dict, int]:
     cps = _files.load_cps(args.cps)
     window = _window_for(cps, args.window)
     region = _files.parse_region(args.region, cps.d)
-    points = _cps.enumerate_model_set(cps, window, region, budget=args.budget)
+    points = _cps.enumerate_model_set(cps, window, region)
     result = {
         "count": len(points),
         "points": [_point_payload(cps, p) for p in points],
@@ -105,8 +106,6 @@ def _cmd_validate(args) -> tuple[dict, int]:
 def _cmd_rank(args) -> tuple[dict, int]:
     with open(args.points) as fh:
         vectors = _files.parse_vector_lines(fh.read())
-    from .exact import flatten_vector, rank_over_Q
-
     rank = rank_over_Q([flatten_vector(v) for v in vectors])
     return {"result": {"vectors": len(vectors), "rank": rank}, "status": "ok"}, 0
 
@@ -133,15 +132,13 @@ def _cmd_find_ap(args) -> tuple[dict, int]:
         expr = _files.load_expr(args.expr)
         cps = expr.cps
         anchor = _parse_anchor(args.at, cps.d)
-        ap = _aprank.li_ap_in_meyer(expr, args.length, anchor, budget=args.budget)
+        ap = _aprank.li_ap_in_meyer(expr, args.length, anchor)
         radius = None
     else:
         cps = _files.load_cps(args.cps)
         window = _window_for(cps, args.window)
         anchor = _parse_anchor(args.at, cps.d)
-        ap, radius = _aprank.li_ap_in_model_set(
-            cps, window, args.length, anchor, budget=args.budget
-        )
+        ap, radius = _aprank.li_ap_in_model_set(cps, window, args.length, anchor)
     result = {
         "progression": _files.ap_to_dict(ap),
         "rank": _prog.ap_rank(ap),
@@ -151,7 +148,7 @@ def _cmd_find_ap(args) -> tuple[dict, int]:
         result["radius"] = _dual(radius)
     if args.oracle:
         ball = _cps.Ball(anchor, radius * radius)
-        sample = {p.coords for p in _cps.enumerate_model_set(cps, window, ball, args.budget)}
+        sample = {p.coords for p in _cps.enumerate_model_set(cps, window, ball)}
         members = [tuple(p) in sample for p in _prog.ap_points(ap)]
         result["oracle"] = {"points_checked": len(members), "all_member": all(members)}
         if not all(members):
@@ -182,7 +179,9 @@ def _cmd_vdw(args) -> tuple[dict, int]:
 
 def _cmd_aprank(args) -> tuple[dict, int]:
     expr = _files.load_expr(args.expr)
-    bracket = _aprank.aprank_bounds(expr, args.lengths, budget=args.budget)
+    # the sample first: a length that runs out of budget leaves the meter spent
+    sample_rank = _aprank.sample_module_rank(expr)
+    bracket = _aprank.aprank_bounds(expr, args.lengths)
     result = {
         "lower": bracket.lower,
         "upper": bracket.upper,
@@ -191,7 +190,7 @@ def _cmd_aprank(args) -> tuple[dict, int]:
         "certificates": [
             {"length": n, "progression": _files.ap_to_dict(ap)} for n, ap in bracket.certificates
         ],
-        "sample_module_rank": _aprank.sample_module_rank(expr, budget=args.budget),
+        "sample_module_rank": sample_rank,
     }
     return {"result": result, "status": "ok"}, 0
 
@@ -199,9 +198,7 @@ def _cmd_aprank(args) -> tuple[dict, int]:
 def _cmd_euclideanize(args) -> tuple[dict, int]:
     expr = _files.load_expr(args.expr)
     try:
-        refined, window, verification = _aprank.euclideanize(
-            expr, sample_halfwidth=Fraction(args.sample), budget=args.budget
-        )
+        refined, window, verification = _aprank.euclideanize(expr, Fraction(args.sample))
     except RankGapError as exc:
         return {
             "result": {"rank_gap": True, "independent_translate": exc.translate},
@@ -214,13 +211,11 @@ def _cmd_euclideanize(args) -> tuple[dict, int]:
         "verification": verification,
     }
     if args.out:
-        cps_path = args.out + ".cps.json"
-        win_path = args.out + ".window.json"
-        with open(cps_path, "w") as fh:
-            json.dump(_files.cps_to_dict(refined), fh, sort_keys=True, indent=2)
-        with open(win_path, "w") as fh:
-            json.dump(_files.window_to_dict(window), fh, sort_keys=True, indent=2)
-        result["files"] = {"cps": cps_path, "window": win_path}
+        result["files"] = {}
+        for kind in ("cps", "window"):
+            path = result["files"][kind] = f"{args.out}.{kind}.json"
+            with open(path, "w") as fh:
+                json.dump(result[kind], fh, sort_keys=True, indent=2)
     return {"result": result, "status": "ok"}, 0
 
 
@@ -251,17 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget(p):
-        p.add_argument("--budget", type=int, default=_cps.DEFAULT_BUDGET,
-                       help="work units per library call: enumeration nodes and candidates, "
-                            "probes, progression points, tuples, pairs (default %(default)s)")
-
     p = sub.add_parser("gen", help="enumerate a model set in a region")
     p.add_argument("--cps", required=True, help="builtin name or CPS JSON file")
     p.add_argument("--window", help="inline box like [0,1] or window JSON file")
     p.add_argument("--region", required=True, help="|x|<=r, |x-c|<=r, or [lo,hi]x...")
     p.add_argument("--out", help="also write a point-list file")
-    add_budget(p)
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("validate", help="check CPS invariants")
@@ -288,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check the progression against enumerated points")
     p.add_argument("--rank-target", type=int,
                    help="expected rank; mismatch fails (no rank is checked when omitted)")
-    add_budget(p)
     p.set_defaults(fn=_cmd_find_ap)
 
     p = sub.add_parser("vdw", help="monochromatic grid search on a coloring file")
@@ -299,14 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aprank", help="ap-rank bracket with certificates")
     p.add_argument("--expr", required=True)
     p.add_argument("--lengths", type=int, default=3, help="certify lengths 1..N")
-    add_budget(p)
     p.set_defaults(fn=_cmd_aprank)
 
     p = sub.add_parser("euclideanize", help="embed a structured Meyer set into a model set")
     p.add_argument("--expr", required=True)
     p.add_argument("--sample", type=int, default=20, help="verification sample half-width")
     p.add_argument("--out", help="prefix for .cps.json/.window.json output files")
-    add_budget(p)
     p.set_defaults(fn=_cmd_euclideanize)
 
     p = sub.add_parser("example", help="emit a builtin scheme or the rank-gap expression")
@@ -317,6 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON payload to a file")
     p.set_defaults(fn=_cmd_example)
 
+    for name in ("gen", "find-ap", "aprank", "euclideanize"):
+        sub.choices[name].add_argument(
+            "--budget", type=int, default=DEFAULT_BUDGET,
+            help="work units for the whole command: enumeration nodes and candidates, "
+                 "probes, progression points, tuples, pairs (default %(default)s)")
     return parser
 
 
@@ -329,7 +320,8 @@ def main(argv=None) -> int:
         if value:
             inputs[key] = _input_ref(value)
     try:
-        body, code = args.fn(args)
+        with metered(getattr(args, "budget", DEFAULT_BUDGET)):
+            body, code = args.fn(args)
     except (ParseError, OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

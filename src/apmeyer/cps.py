@@ -14,8 +14,8 @@ row whose generator coefficients vanish beyond that coordinate.  The slabs
 are solved from the same outward rational brackets, so no point of the model
 set is lost; the survivors are then decided by exact star membership.
 
-The budget counts work, not box cells: one unit per node of the walk at any
-level and per leaf candidate, per distance pair and per difference.
+The budget counts work, not box cells, on the run's meter (`errors.metered`):
+one unit per walk node at any level, leaf candidate, distance pair and difference.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import ceil, floor
 
-from .errors import DEFAULT_BUDGET, NotInLattice, UnboundedRegion, charge, metered
+from .errors import NotInLattice, UnboundedRegion, charge, metered
 from .exact import (
     QuadScalar,
     as_quad,
@@ -349,7 +349,7 @@ def _interval_dot(row, los, his):
     return lo, hi
 
 
-def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
+def enumerate_model_set(cps, window, region):
     """All lattice points with physical part in `region` and star in `window`.
 
     Slab enumeration, exhaustive by construction.  Every point satisfies
@@ -364,7 +364,7 @@ def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
     and each surviving z goes through `cps.star` and the exact
     `region.contains` / `window.contains`.  Output is in lexicographic order
     of the integer coordinates.  Each node (at any level) and each leaf
-    candidate charges one unit of `budget` to the run (`errors.charge`).
+    candidate charges one unit to the run's meter (`errors.metered`).
     """
     if not isinstance(region, (Box, Ball)):
         raise UnboundedRegion(f"region must be a bounded box or ball, got {region!r}")
@@ -423,7 +423,7 @@ def enumerate_model_set(cps, window, region, budget=DEFAULT_BUDGET):
             descend(k + 1, prefix + (c,), sums)
             sums = [s + x if x else s for s, x in zip(sums, column)]
 
-    with metered(budget):
+    with metered():
         descend(0, (), [QuadScalar(0)] * n)
     return points
 
@@ -621,7 +621,7 @@ def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):
     return [k * step for k in range(ceil(lo / step), floor(hi / step) + 1)]
 
 
-def meyer_certificate(points, budget=DEFAULT_BUDGET):
+def meyer_certificate(points):
     """Exact min squared distance among distinct elements of the difference set.
 
     A finite-radius certificate of uniform discreteness of L - L only: it
@@ -630,7 +630,7 @@ def meyer_certificate(points, budget=DEFAULT_BUDGET):
     pts = _as_physical_tuples(points)
     if len(pts) < 2:
         raise ValueError("need at least two points for a Meyer certificate")
-    with metered(budget):
+    with metered():
         charge(len(pts) * (len(pts) - 1))
         diffs = dict.fromkeys(tuple(x - y for x, y in zip(p, q)) for p, q in permutations(pts, 2))
         return _min_pairwise_dist_sq(list(diffs))

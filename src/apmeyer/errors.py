@@ -52,9 +52,10 @@ def verify(ok: bool, message: str) -> None:
 
 
 @contextmanager
-def metered(budget):
-    """Run the body as one run of at most `budget` work units; inside an
-    active meter, the body charges that meter and `budget` is ignored."""
+def metered(budget=DEFAULT_BUDGET):
+    """Run the body as one run of at most `budget` work units.  Inside an
+    active meter it charges that meter and `budget` is ignored; every public
+    search opens a bare `metered()`, so alone it runs at `DEFAULT_BUDGET`."""
     if _METER.get() is not None:
         yield
         return

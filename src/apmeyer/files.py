@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import product
 
-from .aprank import MeyerExpr, SymbolicTranslate, meyer_expr
+from .aprank import ExprPoint, MeyerExpr, SymbolicTranslate, meyer_expr
 from .cps import Ball, Box, CutProjectScheme, ShiftedUnion, builtin
 from .errors import ParseError
 from .exact import (
@@ -28,6 +29,23 @@ from .vdw import CubeColoring
 
 def quad_literal(x) -> str:
     return as_quad(x).as_literal()
+
+
+def _object(data, what, *keys):
+    """`data` if it is a JSON object holding `keys`, else `ParseError`."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be a JSON object, not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ParseError(f"{what} lacks {key!r}")
+    return data
+
+
+def _array(data, what):
+    """`data` if it is a JSON array, else `ParseError`."""
+    if not isinstance(data, list):
+        raise ParseError(f"{what} must be a JSON array, not {type(data).__name__}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +65,9 @@ def cps_to_dict(cps: CutProjectScheme) -> dict:
 def cps_from_dict(data: dict) -> CutProjectScheme:
     """Scheme from `d`, `m`, `D` and `generators`.  A `density` key, which
     `cps_to_dict` writes, is ignored: the scheme derives its density."""
-    gens = [[parse_quad(x) for x in row] for row in data["generators"]]
+    _object(data, "scheme", "d", "m", "D", "generators")
+    rows = _array(data["generators"], "scheme generators")
+    gens = [[parse_quad(x) for x in _array(row, "generator")] for row in rows]
     return CutProjectScheme(data["d"], data["m"], data["D"], gens)
 
 
@@ -95,8 +115,9 @@ def window_to_dict(window) -> dict:
 
 
 def window_from_dict(data: dict):
-    kind = data.get("type")
+    kind = _object(data, "window").get("type")
     if kind == "box":
+        _object(data, "box window", "lo", "hi")
         return Box(
             [parse_quad(x) for x in data["lo"]],
             [parse_quad(x) for x in data["hi"]],
@@ -104,12 +125,14 @@ def window_from_dict(data: dict):
             data.get("hi_closed"),
         )
     if kind == "ball":
+        _object(data, "ball window", "center", "radius_sq")
         return Ball([parse_quad(x) for x in data["center"]], parse_rational(data["radius_sq"]))
     if kind == "shifted_union":
+        parts = _array(_object(data, "union window", "parts")["parts"], "window parts")
         return ShiftedUnion(
             [
                 ([parse_quad(x) for x in part["shift"]], window_from_dict(part["window"]))
-                for part in data["parts"]
+                for part in (_object(p, "window part", "shift", "window") for p in parts)
             ]
         )
     raise ParseError(f"unknown window type {kind!r}")
@@ -184,14 +207,14 @@ def expr_to_dict(expr: MeyerExpr) -> dict:
 
 
 def expr_from_dict(data: dict) -> MeyerExpr:
-    cps_spec = data["cps"]
+    cps_spec = _object(data, "expression", "cps", "branches")["cps"]
     cps = builtin(cps_spec) if isinstance(cps_spec, str) else cps_from_dict(cps_spec)
     specs = []
-    for branch in data["branches"]:
-        t = branch["translate"]
+    for branch in _array(data["branches"], "expression branches"):
+        t = _object(branch, "expression branch", "translate", "window")["translate"]
         if isinstance(t, dict):
             approx = tuple(float(a) for a in t.get("approx", ())) or (0.0,) * cps.d
-            spec = SymbolicTranslate(t["symbolic"], approx)
+            spec = SymbolicTranslate(_object(t, "translate", "symbolic")["symbolic"], approx)
         else:
             spec = [parse_quad(x) for x in t]
         specs.append((spec, window_from_dict(branch["window"])))
@@ -208,8 +231,6 @@ def load_expr(path: str) -> MeyerExpr:
 # ---------------------------------------------------------------------------
 
 def ap_to_dict(ap: ArithmeticProgression) -> dict:
-    from .aprank import ExprPoint
-
     if isinstance(ap.base, ExprPoint):
         base = {
             "coords": [format_rational(c) for c in ap.base.coords],
@@ -238,8 +259,6 @@ def ap_from_dict(data: dict) -> ArithmeticProgression:
 
     base = data["base"]
     if isinstance(base, dict):
-        from .aprank import ExprPoint
-
         base = ExprPoint(
             tuple(parse_rational(c) for c in base["coords"]),
             tuple(sorted((t, int(k)) for t, k in base.get("tags", {}).items())),
@@ -298,8 +317,6 @@ def parse_vector_lines(text: str):
 
 
 def format_coloring(coloring: CubeColoring) -> str:
-    from itertools import product
-
     lines = [f"{coloring.cube_size} {coloring.dim} {coloring.num_colors}"]
     for c in product(range(coloring.cube_size + 1), repeat=coloring.dim):
         lines.append(" ".join(map(str, c + (coloring.colors[c],))))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DEFAULT_BUDGET, charge, metered
+from .errors import charge, metered
 from .exact import IntEchelon, flatten_vector, rank_over_Q
 
 
@@ -66,16 +66,16 @@ class ArithmeticProgression:
         return product(range(self.length + 1), repeat=self.dimension)
 
 
-def ap_points(ap: ArithmeticProgression, budget=DEFAULT_BUDGET):
+def ap_points(ap: ArithmeticProgression):
     """All (N+1)^n points in lexicographic coefficient order."""
-    with metered(budget):
+    with metered():
         charge((ap.length + 1) ** ap.dimension)
     return [ap.point(c) for c in ap.coefficient_cube()]
 
 
-def is_proper(ap: ArithmeticProgression, budget=DEFAULT_BUDGET) -> bool:
+def is_proper(ap: ArithmeticProgression) -> bool:
     """True iff all points are pairwise distinct (exact comparison)."""
-    pts = ap_points(ap, budget)
+    pts = ap_points(ap)
     return len(set(pts)) == len(pts)
 
 
@@ -139,12 +139,12 @@ def embed_rank1(line, n: int, length: int) -> ArithmeticProgression:
     return ArithmeticProgression(_as_point(s), tuple(ratios), length, kind="module")
 
 
-def verify_ap(ap: ArithmeticProgression, member, budget=DEFAULT_BUDGET) -> bool:
+def verify_ap(ap: ArithmeticProgression, member) -> bool:
     """True iff every point satisfies `member`."""
-    return all(member(p) for p in ap_points(ap, budget))
+    return all(member(p) for p in ap_points(ap))
 
 
-def brute_force_li_ap(points, n: int, length: int, budget=DEFAULT_BUDGET):
+def brute_force_li_ap(points, n: int, length: int):
     """Exhaustive search for an n-dimensional li-progression of length N in a
     finite point set; None means no such progression exists in the set.
 
@@ -161,7 +161,7 @@ def brute_force_li_ap(points, n: int, length: int, budget=DEFAULT_BUDGET):
         # a single point is trivially a progression of any dimension
         return ArithmeticProgression(pts[0], (), 0, kind="module")
     point_set = set(pts)
-    with metered(budget):
+    with metered():
         for base in pts:
             diffs = [_add(p, _scale(base, -1)) for p in pts if p != base]
             flat = [flatten_vector(d) for d in diffs]

@@ -45,6 +45,7 @@ from apmeyer.errors import (
     NotInLattice,
     RankGapError,
     VerificationFailed,
+    metered,
 )
 from apmeyer.exact import QuadScalar, quad_bounds, sqrt_upper
 from apmeyer.files import ap_to_dict
@@ -249,13 +250,15 @@ def test_covering_certificate_budget_counts_walk_and_probes():
     # every probe is a lattice point, so the bound is one resolution step
     il = builtin("integer_lattice(1)")
     aprank._cover_radius.cache_clear()
-    with pytest.raises(BudgetExceeded):
-        covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=6 + 3 - 1)
-    assert covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=6 + 3) == 1
+    with pytest.raises(BudgetExceeded), metered(6 + 3 - 1):
+        covering_radius_certificate(il, trivial_window(), F(1), span=F(2))
+    with metered(6 + 3):
+        assert covering_radius_certificate(il, trivial_window(), F(1), span=F(2)) == 1
     # a cached certificate charges the units of the miss that computed it
-    with pytest.raises(BudgetExceeded):
-        covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=6 + 3 - 1)
-    assert covering_radius_certificate(il, trivial_window(), F(1), span=F(2), budget=6 + 3) == 1
+    with pytest.raises(BudgetExceeded), metered(6 + 3 - 1):
+        covering_radius_certificate(il, trivial_window(), F(1), span=F(2))
+    with metered(6 + 3):
+        assert covering_radius_certificate(il, trivial_window(), F(1), span=F(2)) == 1
     aprank._cover_radius.cache_clear()
 
 
@@ -271,7 +274,8 @@ def test_budget_refuses_the_same_calls_cold_and_warm():
             if warm:
                 radius = covering_radius_certificate(fib(), u_win)
             try:
-                results.append((warm, budget, ap_to_dict(li_ap_in_meyer(expr, 1, budget=budget))))
+                with metered(budget):
+                    results.append((warm, budget, ap_to_dict(li_ap_in_meyer(expr, 1))))
             except BudgetExceeded:
                 results.append((warm, budget, None))
             assert aprank._cover_radius.cache_info().hits == int(warm)
@@ -588,12 +592,15 @@ def test_aprank_bounds_shares_one_meter_across_lengths():
     while lo < hi:  # the least budget under which length 2 succeeds alone
         mid = (lo + hi) // 2
         try:
-            li_ap_in_meyer(expr, 2, budget=mid)
+            with metered(mid):
+                li_ap_in_meyer(expr, 2)
             hi = mid
         except BudgetExceeded:
             lo = mid + 1
-    li_ap_in_meyer(expr, 1, budget=lo)
-    assert aprank_bounds(expr, 2, budget=lo).tested_lengths == (1,)
+    with metered(lo):
+        li_ap_in_meyer(expr, 1)
+    with metered(lo):
+        assert aprank_bounds(expr, 2).tested_lengths == (1,)
     assert aprank_bounds(expr, 2).tested_lengths == (1, 2)
 
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -236,6 +237,30 @@ def test_aprank_budget_bounds_the_module_sample(tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_budget_bounds_the_whole_command(capsys):
+    # the construction charges 151 units and the oracle's enumeration 151 more
+    argv = ["find-ap", "--cps", "fibonacci", "--window", "[0,1]", "--length", "2", "--oracle"]
+    assert main([*argv, "--budget", "151"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    code, report = run(capsys, *argv, "--budget", "302")
+    assert code == 0 and report["result"]["oracle"]["all_member"]
+
+
+def test_aprank_samples_the_module_before_the_bracket(tmp_path, capsys):
+    # the sample costs 12 units, length 1 151 and lengths 1-2 426; a length
+    # that runs out of budget leaves the meter spent, so the sample goes first
+    expr = meyer_expr(builtin("fibonacci"), [([F(1, 3)], Box([F(0)], [F(1, 2)]))])
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr_to_dict(expr)))
+    for budget, tested in (("163", [1]), ("438", [1, 2])):
+        code, report = run(capsys, "aprank", "--expr", str(path), "--lengths", "2",
+                           "--budget", budget)
+        assert code == 0
+        assert report["result"]["tested_lengths"] == tested
+        assert report["result"]["sample_module_rank"] == 2
+
+
 def test_vdw_success_and_failure(tmp_path, capsys):
     good = CubeColoring(8, 1, {(i,): i % 2 for i in range(9)})
     path = tmp_path / "good.colors"
@@ -328,6 +353,25 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+_WINDOW = {"type": "box", "lo": ["0"], "hi": ["1"]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("validate --cps", {"d": 1, "m": 1, "D": 5}),
+    ("validate --cps", [1, 1, 5]),
+    ("gen --cps fibonacci --region |x|<=3 --window", [_WINDOW]),
+    ("aprank --expr", {"cps": "fibonacci"}),
+    ("aprank --expr", {"cps": "fibonacci", "branches": [{"translate": ["0"]}]}),
+], ids=["scheme-without-generators", "scheme-as-list", "window-as-list",
+        "expr-without-branches", "branch-without-window"])
+def test_malformed_input_files_exit_two(tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert main([*command.split(), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and captured.out == ""
+
+
 # -- parsing helpers ----------------------------------------------------------------
 
 def test_parse_region_forms():
@@ -400,3 +444,27 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _parameters(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except ValueError:  # a class without a Python signature, such as an exception
+        return {}
+
+
+def test_no_public_callable_takes_a_budget():
+    # the budget has one setter, `metered`; a call inside it charges its meter
+    import apmeyer
+    from apmeyer import aprank, cps, progression
+    from apmeyer.errors import metered
+
+    found = [
+        f"{module.__name__}.{name}"
+        for module in (apmeyer, cps, progression, aprank)
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and callable(obj) and obj is not metered
+        and "budget" in _parameters(obj)
+    ]
+    assert found == []
+    assert apmeyer.metered is metered

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmeyer.cps import (
-    DEFAULT_BUDGET,
     Ball,
     Box,
     CutProjectScheme,
@@ -25,7 +24,7 @@ from apmeyer.cps import (
     trivial_window,
     validate,
 )
-from apmeyer.errors import BudgetExceeded, NotInLattice, UnboundedRegion, metered
+from apmeyer.errors import DEFAULT_BUDGET, BudgetExceeded, NotInLattice, UnboundedRegion, metered
 from apmeyer.exact import QuadScalar, flatten_vector, quad_bounds, rank_over_Q, sqrt_upper
 
 F = Fraction
@@ -297,8 +296,8 @@ def test_enumerate_rejects_unbounded_region():
 
 
 def test_enumerate_budget():
-    with pytest.raises(BudgetExceeded):
-        enumerate_model_set(fib(), Box([F(0)], [F(1)]), Ball([F(0)], F(10 ** 8)), budget=100)
+    with pytest.raises(BudgetExceeded), metered(100):
+        enumerate_model_set(fib(), Box([F(0)], [F(1)]), Ball([F(0)], F(10 ** 8)))
 
 
 def test_window_monotonicity():
@@ -486,36 +485,39 @@ def test_enumerate_budget_is_the_node_and_candidate_count(monkeypatch):
     region = Ball([F(1, 3)], F(400))
     units = _fib_walk_units(monkeypatch, window, region)
     assert units == 1 + 12 + 19
-    pts = enumerate_model_set(fib(), window, region, budget=units)
+    with metered(units):
+        pts = enumerate_model_set(fib(), window, region)
     assert [p.coords for p in pts] == [p.coords for p in box_and_filter(fib(), window, region)]
     assert len(pts) == 19
-    with pytest.raises(BudgetExceeded):
-        enumerate_model_set(fib(), window, region, budget=units - 1)
+    with pytest.raises(BudgetExceeded), metered(units - 1):
+        enumerate_model_set(fib(), window, region)
 
 
 def test_top_level_call_after_budget_exceeded_starts_a_fresh_meter():
     window = Box([F(0)], [F(1)])
     region = Ball([F(1, 3)], F(400))
-    with pytest.raises(BudgetExceeded):
-        enumerate_model_set(fib(), window, region, budget=31)
-    assert len(enumerate_model_set(fib(), window, region, budget=32)) == 19
+    with pytest.raises(BudgetExceeded), metered(31):
+        enumerate_model_set(fib(), window, region)
+    with metered(32):
+        assert len(enumerate_model_set(fib(), window, region)) == 19
     with pytest.raises(BudgetExceeded):
         with metered(40):
             enumerate_model_set(fib(), window, region)
             enumerate_model_set(fib(), window, region)
-    assert len(enumerate_model_set(fib(), window, region, budget=32)) == 19
+    with metered(32):
+        assert len(enumerate_model_set(fib(), window, region)) == 19
 
 
 def test_nested_public_call_charges_the_outer_meter():
     window = Box([F(0)], [F(1)])
     region = Ball([F(1, 3)], F(400))
     with metered(63):
-        enumerate_model_set(fib(), window, region, budget=10 ** 6)
+        enumerate_model_set(fib(), window, region)
         with pytest.raises(BudgetExceeded):
-            enumerate_model_set(fib(), window, region, budget=10 ** 6)
+            enumerate_model_set(fib(), window, region)
     with metered(64):
-        enumerate_model_set(fib(), window, region, budget=32)
-        enumerate_model_set(fib(), window, region, budget=1)
+        enumerate_model_set(fib(), window, region)
+        enumerate_model_set(fib(), window, region)
 
 
 def test_trivial_window_degenerate_scheme():
@@ -725,9 +727,10 @@ def test_meyer_certificate_examples():
 def test_meyer_certificate_budget_counts_differences_and_pairs():
     # 3 * 2 differences, all 6 distinct, then 6 * 6 pairs in the scan
     pts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
-    assert meyer_certificate(pts, budget=6 + 36) == 1
-    with pytest.raises(BudgetExceeded):
-        meyer_certificate(pts, budget=6 + 35)
+    with metered(6 + 36):
+        assert meyer_certificate(pts) == 1
+    with pytest.raises(BudgetExceeded), metered(6 + 35):
+        meyer_certificate(pts)
 
 
 # -- module generation (rank of the sampled point module) -----------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmeyer.cps import Ball, Box, builtin, enumerate_model_set
-from apmeyer.errors import BudgetExceeded
+from apmeyer.errors import BudgetExceeded, metered
 from apmeyer.exact import QuadScalar, flatten_vector, rank_over_Q
 from apmeyer.progression import (
     ArithmeticProgression,
@@ -82,8 +82,8 @@ def test_ap_points_examples():
 
 def test_ap_points_budget_guard():
     ap = ArithmeticProgression((0,), tuple(((i,),) for i in range(1, 8)), 9)
-    with pytest.raises(BudgetExceeded):
-        ap_points(ap, budget=10 ** 6)
+    with pytest.raises(BudgetExceeded), metered(10 ** 6):
+        ap_points(ap)
 
 
 def test_is_proper():
@@ -220,8 +220,8 @@ def test_brute_force_on_fibonacci_sample():
 def test_brute_force_budget():
     # collinear points: the rank-2 search must grind through every pair
     pts = [(i, 2 * i) for i in range(30)]
-    with pytest.raises(BudgetExceeded):
-        brute_force_li_ap(pts, 2, 1, budget=50)
+    with pytest.raises(BudgetExceeded), metered(50):
+        brute_force_li_ap(pts, 2, 1)
 
 
 # -- verification ----------------------------------------------------------------
