@@ -29,7 +29,7 @@ from .cps import (
     lift_translate,
     rational_coords,
     refine_lattice,
-    trivial_window,
+    scheme_window,
 )
 from .errors import BudgetExceeded, NotInLattice, RankGapError, charge, charged, metered, verify
 from .exact import (
@@ -85,18 +85,16 @@ class Branch:
 
 
 class MeyerExpr:
-    """Finite union of translated model sets over one scheme."""
+    """Finite union of translated model sets over one scheme; each branch
+    window goes through `scheme_window`, so a window of the wrong dimension
+    is refused here."""
 
     def __init__(self, cps: CutProjectScheme, branches):
-        branches = tuple(branches)
+        branches = tuple(Branch(b.translate, scheme_window(cps, b.window)) for b in branches)
         if not branches:
             raise ValueError("a Meyer expression needs at least one branch")
         self.cps = cps
         self.branches = branches
-
-    @property
-    def rank_upper(self) -> int:
-        return self.cps.d + self.cps.m
 
     def tags(self) -> list[str]:
         return [b.translate.tag for b in self.branches if b.translate.symbolic]
@@ -170,12 +168,7 @@ def branch_decompose(expr: MeyerExpr, point: ExprPoint):
     """Minimal branch index containing the point, or None."""
     for j, branch in enumerate(expr.branches):
         q = point.minus(branch.translate)
-        if not q.is_lattice:
-            continue
-        if expr.cps.m == 0:
-            return j
-        z = [int(c) for c in q.coords]
-        if branch.window.contains(expr.cps.internal_of(z)):
+        if q.is_lattice and branch.window.contains(expr.cps.internal_of(map(int, q.coords))):
             return j
     return None
 
@@ -283,7 +276,8 @@ def covering_radius_certificate(cps, window, resolution=Fraction(1, 10),
     re-verify exactly and retry with a doubled radius on failure.  Results
     are cached in a bounded LRU cache of `COVER_CACHE_SIZE` entries.
     """
-    key = (cps.key(), window.key() if window is not None else None, resolution, span)
+    window = scheme_window(cps, window)
+    key = (cps.key(), window.key(), resolution, span)
     with metered():
         before = charged()
         radius, units = _cover_radius(_CoverJob(key, cps, window, resolution, span))
@@ -320,35 +314,39 @@ def _cover_radius(job: _CoverJob) -> tuple[Fraction, int]:
 # independent ratios and the main construction
 # ---------------------------------------------------------------------------
 
-def _neg_coords(p):
-    return tuple(-c for c in p.coords)
+def _nearest_first(cps, window, center, rho, doublings, pick):
+    """(pick(points), rho) for the first rho, doubled at most `doublings`
+    times, at which `pick` accepts the model-set points of `window` in
+    Ball(center, rho).  The points come nearest to `center` first, equal
+    distances larger coordinates first; `pick` returns None to refuse."""
+    for _ in range(doublings):
+        pts = enumerate_model_set(cps, window, Ball(center, rho * rho))
+        pts.sort(key=lambda p: (_dist_sq(p.physical, center), tuple(-c for c in p.coords)))
+        found = pick(pts)
+        if found is not None:
+            return found, rho
+        rho *= 2
+    raise BudgetExceeded(f"no model-set point found within {doublings} radius doublings")
 
 
 def independent_ratios(cps, window):
     """First d+m linearly independent model-set points of the given window,
-    scanned by growing exact norm (positive representative preferred).
+    scanned by growing exact norm (positive representative preferred; the
+    origin, dependent on anything, is never picked).
 
     Raises `ValueError` before any enumeration when the internal projection
     is not dense: then no d+m independent points with small star exist."""
     if cps.density == "failed":
         raise ValueError(f"{cps!r}: the internal projection of the lattice is not dense")
     target = cps.d + cps.m
-    origin = (Fraction(0),) * cps.d
-    rho = Fraction(2)
+
+    def pick(pts):
+        ech = IntEchelon(target)
+        picks = [p for p in pts if ech.rank < target and ech.insert(p.coords)]
+        return picks if ech.rank == target else None
+
     with metered():
-        for _ in range(32):
-            pts = enumerate_model_set(cps, window, Ball(origin, rho * rho))
-            pts = [p for p in pts if any(p.coords)]
-            pts.sort(key=lambda p: (_dist_sq(p.physical, origin), _neg_coords(p)))
-            ech = IntEchelon(target)
-            picks = []
-            for p in pts:
-                if ech.insert(p.coords):
-                    picks.append(p)
-                    if len(picks) == target:
-                        return picks
-            rho *= 2
-    raise BudgetExceeded("independent ratio search exhausted its radius doublings")
+        return _nearest_first(cps, window, (Fraction(0),) * cps.d, Fraction(2), 32, pick)[0]
 
 
 def li_ap_in_model_set(cps, window, length, anchor=None):
@@ -362,26 +360,14 @@ def li_ap_in_model_set(cps, window, length, anchor=None):
     if anchor is None:
         anchor = (Fraction(0),) * cps.d
     anchor = tuple(as_quad(x) for x in anchor)
-    box = inscribe_box(window) if cps.m else trivial_window()
+    window = scheme_window(cps, window)
     factor = max(1, length * (cps.d + cps.m))
-    u_win, v_win = shrink_window(box, factor)
+    u_win, v_win = shrink_window(inscribe_box(window), factor)
     with metered():
         ratios = independent_ratios(cps, v_win)
         rprime = covering_radius_certificate(cps, u_win)
-        base = None
-        for _ in range(16):
-            cands = enumerate_model_set(cps, u_win, Ball(anchor, rprime * rprime))
-            if cands:
-                base = min(
-                    cands,
-                    key=lambda p: (_dist_sq(p.physical, anchor), _neg_coords(p)),
-                )
-                break
-            rprime *= 2
-        if base is None:
-            raise BudgetExceeded("no base point found; covering radius escalation exhausted")
-
-        radius = rprime
+        base, radius = _nearest_first(cps, u_win, anchor, rprime, 16,
+                                      lambda pts: pts[0] if pts else None)
         for r in ratios:
             norm_up = quad_bounds(_dist_sq(r.physical, (0,) * cps.d), bits=40)[1]
             radius += length * sqrt_upper(norm_up)
@@ -391,7 +377,7 @@ def li_ap_in_model_set(cps, window, length, anchor=None):
 
         def member(z):
             pt = cps.star(z)
-            return ((not cps.m or window.contains(pt.internal))
+            return (window.contains(pt.internal)
                     and (_dist_sq(pt.physical, anchor) - radius_sq).sign() <= 0)
 
         return _verified(ap, member, cps.d + cps.m), radius
@@ -404,6 +390,7 @@ def mono_li_ap(cps, window, depth, coloring, anchor=None):
     and must be total on every progression that `li_ap_in_model_set` builds
     at `anchor`; iterative deepening replaces any explicit van der Waerden
     bound."""
+    window = scheme_window(cps, window)
     n = max(depth, 1)
     with metered():
         for _ in range(12):
@@ -417,7 +404,7 @@ def mono_li_ap(cps, window, depth, coloring, anchor=None):
         out, color = found
 
         def member(z):
-            return coloring(z) == color and (not cps.m or window.contains(cps.star(z).internal))
+            return coloring(z) == color and window.contains(cps.star(z).internal)
 
         return _verified(out, member, cps.d + cps.m)
 
@@ -473,7 +460,7 @@ def aprank_bounds(expr_or_points, n_max: int = 3) -> ApRankBracket:
     """
     if isinstance(expr_or_points, MeyerExpr):
         expr = expr_or_points
-        k = expr.rank_upper
+        k = expr.cps.d + expr.cps.m
         certificates = []
         with metered():
             for n in range(1, n_max + 1):
@@ -502,17 +489,13 @@ def aprank_bounds(expr_or_points, n_max: int = 3) -> ApRankBracket:
     return ApRankBracket(0, upper, "module-rank", (), tested)
 
 
-def rank_gap_example(cps: CutProjectScheme, n: int, window=None) -> MeyerExpr:
-    """Model set plus n symbolically independent translated copies: the
-    sampled module rank exceeds the ap-rank by exactly n."""
+def rank_gap_example(cps: CutProjectScheme, n: int) -> MeyerExpr:
+    """Model set of the window [0, 1]^m plus n symbolically independent
+    translated copies: the sampled module rank exceeds the ap-rank by
+    exactly n."""
     if n < 0:
         raise ValueError("need n >= 0")
-    if window is None:
-        window = (
-            Box([Fraction(0)] * cps.m, [Fraction(1)] * cps.m)
-            if cps.m
-            else trivial_window()
-        )
+    window = Box([Fraction(0)] * cps.m, [Fraction(1)] * cps.m)
     branches = [(None, window)]
     root3 = 3 ** 0.5
     for i in range(1, n + 1):
@@ -576,7 +559,7 @@ def verify_euclideanization(expr, refined, window2, halfwidth=Fraction(20)) -> d
             violations += 1
             continue
         internal = refined.internal_of([int(c) for c in coords])
-        if expr.cps.m and not window2.contains(internal):
+        if not window2.contains(internal):
             violations += 1
     return {
         "sample_halfwidth": str(halfwidth),

@@ -68,11 +68,8 @@ def _parse_anchor(text, d):
 # ---------------------------------------------------------------------------
 
 def _window_for(cps, window_arg):
-    if cps.m == 0:
-        return _cps.trivial_window()
-    if window_arg is None:
-        raise ParseError("a window is required when the internal dimension is positive")
-    return _files.parse_window_arg(window_arg)
+    window = None if window_arg is None else _files.parse_window_arg(window_arg)
+    return _cps.scheme_window(cps, window)
 
 
 def _cmd_gen(args) -> tuple[dict, int]:

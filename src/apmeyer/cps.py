@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import ceil, floor
+from math import ceil, floor, prod
 
 from .errors import NotInLattice, UnboundedRegion, charge, metered
 from .exact import (
@@ -188,6 +188,16 @@ def trivial_window() -> Box:
     return Box((), ())
 
 
+def scheme_window(cps, window):
+    """The window that `cps` reads: for m = 0 the trivial window, whatever is
+    given (None included); otherwise `window`, which must have dimension m."""
+    if not cps.m:
+        return trivial_window()
+    if window is None or window.dim != cps.m:
+        raise ValueError(f"need a window of dimension m = {cps.m}")
+    return window
+
+
 # ---------------------------------------------------------------------------
 # schemes and lattice points
 # ---------------------------------------------------------------------------
@@ -252,9 +262,6 @@ class CutProjectScheme:
         self._inverse = None
 
     # -- basic maps --------------------------------------------------------
-
-    def physical_part(self, gen) -> tuple[QuadScalar, ...]:
-        return gen[: self.d]
 
     def _combine(self, coords, lo, hi) -> list[QuadScalar]:
         """Axes lo..hi-1 of the exact generator combination sum_j c_j g_j."""
@@ -324,7 +331,7 @@ def validate(cps: CutProjectScheme) -> ValidationReport:
         invertible = True
     except ValueError:
         invertible = False
-    phys_rows = [flatten_vector(cps.physical_part(g)) for g in cps.generators]
+    phys_rows = [flatten_vector(g[: cps.d]) for g in cps.generators]
     injective = rank_over_Q(phys_rows) == cps.d + cps.m
     return ValidationReport(invertible, injective, cps.density)
 
@@ -364,17 +371,14 @@ def enumerate_model_set(cps, window, region):
     and each surviving z goes through `cps.star` and the exact
     `region.contains` / `window.contains`.  Output is in lexicographic order
     of the integer coordinates.  Each node (at any level) and each leaf
-    candidate charges one unit to the run's meter (`errors.metered`).
+    candidate charges one unit to the run's meter (`errors.metered`).  The
+    window goes through `scheme_window`, so m = 0 ignores it.
     """
     if not isinstance(region, (Box, Ball)):
         raise UnboundedRegion(f"region must be a bounded box or ball, got {region!r}")
     if region.dim != cps.d:
         raise ValueError("region dimension must match the physical dimension")
-    if window is None:
-        window = trivial_window()
-    if window.dim != cps.m:
-        raise ValueError("window dimension must match the internal dimension")
-
+    window = scheme_window(cps, window)
     rlo, rhi = region.rational_bounds()
     wlo, whi = window.rational_bounds()
     los = rlo + wlo
@@ -451,7 +455,7 @@ def rational_coords(cps: CutProjectScheme, t):
         # a foreign radical can never lie in the span of 1 and sqrt(D)
         if x.b != 0 and x.D != cps.D:
             return None
-    cols = [flatten_vector(cps.physical_part(g)) for g in cps.generators]
+    cols = [flatten_vector(g[: cps.d]) for g in cps.generators]
     target = flatten_vector(t)
     return solve_columns(cols, target)
 
@@ -595,25 +599,24 @@ def delone_certificate(points, region, resolution=Fraction(1, 8)):
     The first component is authoritative and exact.  The second is a
     finite-sample covering bound: for d = 1 the exact largest consecutive gap
     (bracketed upward when irrational), for d >= 2 a grid certificate at the
-    given resolution.
+    given resolution, charging one unit per probe up front.
     """
     pts = _as_physical_tuples(points)
     if len(pts) < 2:
         raise ValueError("need at least two points for a Delone certificate")
-    min_sq = _min_pairwise_dist_sq(pts)
-    dim = len(pts[0])
-    if dim == 1:
-        max_bound = quad_bounds(max(_gaps(p[0] for p in pts)), bits=40)[1]
-    else:
+    with metered():
+        min_sq = _min_pairwise_dist_sq(pts)
+        if len(pts[0]) == 1:
+            return min_sq, quad_bounds(max(_gaps(p[0] for p in pts)), bits=40)[1]
         lo, hi = region.rational_bounds()
-        nearest = _nearest_sq(pts)
         grids = [_rational_range(a, b, resolution) for a, b in zip(lo, hi)]
+        charge(prod(map(len, grids)))
+        nearest = _nearest_sq(pts)
         worst_sq = max(
             (quad_bounds(nearest(s, exact=True), bits=40)[1] for s in product(*grids)),
             default=Fraction(0),
         )
-        max_bound = 2 * (sqrt_upper(worst_sq) + resolution)
-    return min_sq, max_bound
+        return min_sq, 2 * (sqrt_upper(worst_sq) + resolution)
 
 
 def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):

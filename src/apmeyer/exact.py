@@ -44,12 +44,6 @@ def _require_squarefree(d: int) -> None:
         raise ValueError(f"quadratic radicand must be square-free, got {d}")
 
 
-def sqrt_bounds(d: int, bits: int = 32) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(d) <= hi with hi - lo <= 2**-bits."""
-    _require_squarefree(d)
-    return sqrt_lower(d, bits), sqrt_upper(d, bits)
-
-
 def sqrt_lower(q: Fraction, bits: int = 32) -> Fraction:
     """Rational u <= sqrt(q); exact when q is a perfect rational square."""
     q = Fraction(q)
@@ -232,7 +226,7 @@ class QuadScalar:
         """Outward rational brackets lo <= value <= hi."""
         if self.b == 0:
             return self.a, self.a
-        lo, hi = sqrt_bounds(self.D, bits)
+        lo, hi = sqrt_lower(self.D, bits), sqrt_upper(self.D, bits)
         if self.b > 0:
             return self.a + self.b * lo, self.a + self.b * hi
         return self.a + self.b * hi, self.a + self.b * lo
@@ -336,8 +330,15 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _literal(text) -> str:
+    """`text` stripped; `ParseError` if it is not a string, say a JSON number."""
+    if not isinstance(text, str):
+        raise ParseError(f"an exact literal must be a string, not {type(text).__name__} {text!r}")
+    return text.strip()
+
+
 def parse_rational(text: str) -> Fraction:
-    t = text.strip()
+    t = _literal(text)
     m = _RAT_RE.fullmatch(t)
     if not m:
         raise ParseError(f"not a rational literal: {text!r}", position=0)
@@ -346,7 +347,7 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_quad(text: str) -> QuadScalar:
     """Parse `<rat>` or `<rat>+<rat>*sqrt(<D>)` / `<rat>-<rat>*sqrt(<D>)`."""
-    t = text.strip()
+    t = _literal(text)
     m = _RAT_RE.match(t)
     if not m:
         raise ParseError(f"expected a rational at the start of {text!r}", position=0)

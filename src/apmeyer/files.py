@@ -114,6 +114,14 @@ def window_to_dict(window) -> dict:
     raise TypeError(f"not a window: {window!r}")
 
 
+def _flags(data, key):
+    """Boundary flags `data[key]`, None when absent; else an array of booleans."""
+    flags = data.get(key)
+    if flags is not None and not all(type(f) is bool for f in _array(flags, key)):
+        raise ParseError(f"{key} must be an array of booleans")
+    return flags
+
+
 def window_from_dict(data: dict):
     kind = _object(data, "window").get("type")
     if kind == "box":
@@ -121,8 +129,8 @@ def window_from_dict(data: dict):
         return Box(
             [parse_quad(x) for x in data["lo"]],
             [parse_quad(x) for x in data["hi"]],
-            data.get("lo_closed"),
-            data.get("hi_closed"),
+            _flags(data, "lo_closed"),
+            _flags(data, "hi_closed"),
         )
     if kind == "ball":
         _object(data, "ball window", "center", "radius_sq")
@@ -276,23 +284,6 @@ def format_point_lines(points) -> str:
         cols = [str(c) for c in p.coords] + ["#"] + [decimal_str(x) for x in p.physical]
         lines.append("\t".join(cols))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_point_lines(text: str):
-    """Integer coordinate tuples from a point list (decimals are ignored)."""
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t") if "\t" in line else line.split()
-        coords = []
-        for f in fields:
-            if f == "#":
-                break
-            coords.append(int(f))
-        out.append(tuple(coords))
-    return out
 
 
 def parse_vector_lines(text: str):

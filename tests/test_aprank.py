@@ -47,8 +47,8 @@ from apmeyer.errors import (
     VerificationFailed,
     metered,
 )
-from apmeyer.exact import QuadScalar, quad_bounds, sqrt_upper
-from apmeyer.files import ap_to_dict
+from apmeyer.exact import QuadScalar, quad_bounds, rank_over_Q, sqrt_upper
+from apmeyer.files import ap_to_dict, cps_to_dict, window_to_dict
 from apmeyer.progression import ap_points, ap_rank, verify_ap
 
 F = Fraction
@@ -362,6 +362,62 @@ def test_independent_ratios_integer_lattice():
     assert [p.coords for p in picks] == [(1, 0), (0, 1)]
 
 
+# -- the nearest-first search, against one enumeration ------------------------------
+
+@st.composite
+def _centred_window(draw, m):
+    """A box [-h, h] per axis, h in 1/8 .. 3/2, each side open or closed."""
+    halves = [F(draw(st.integers(1, 12)), 8) for _ in range(m)]
+    return Box([-h for h in halves], halves,
+               draw(st.lists(st.booleans(), min_size=m, max_size=m)),
+               draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+
+
+_SEARCHED = st.sampled_from(["fibonacci", "silver_mean", "ammann_beenker"])
+
+
+def _nearest_key(center):
+    return lambda p: (_dist_sq(p.physical, center), tuple(-c for c in p.coords))
+
+
+def _ball_through(points, center):
+    """A closed ball about `center`, with rational squared radius, holding `points`."""
+    return Ball(center, max(quad_bounds(_dist_sq(p.physical, center))[1] for p in points) + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEARCHED, st.data())
+def test_independent_ratios_are_a_greedy_scan_of_one_ball(name, data):
+    # the first d+m points that raise the rank, in one enumeration of a ball
+    # holding every pick, sorted nearest first and larger coordinates first
+    cps = builtin(name)
+    window = data.draw(_centred_window(cps.m))
+    picks = independent_ratios(cps, window)
+    origin = (F(0),) * cps.d
+    greedy = []
+    for p in sorted(enumerate_model_set(cps, window, _ball_through(picks, origin)),
+                    key=_nearest_key(origin)):
+        if len(greedy) == cps.d + cps.m:
+            break
+        if rank_over_Q([q.coords for q in greedy + [p]]) > len(greedy):
+            greedy.append(p)
+    assert [p.coords for p in picks] == [p.coords for p in greedy]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SEARCHED, st.data())
+def test_base_is_the_nearest_point_of_the_base_window(name, data):
+    cps = builtin(name)
+    window = data.draw(_centred_window(cps.m))
+    length = data.draw(st.integers(0, 1))
+    bound = 30 if cps.d == 1 else 6
+    anchor = tuple(data.draw(st.fractions(-bound, bound, max_denominator=4)) for _ in range(cps.d))
+    ap, _ = li_ap_in_model_set(cps, window, length, anchor)
+    u_win, _ = shrink_window(window, max(1, length * (cps.d + cps.m)))
+    ball = _ball_through([cps.star(ap.base)], anchor)
+    assert ap.base == min(enumerate_model_set(cps, u_win, ball), key=_nearest_key(anchor)).coords
+
+
 # -- the main construction ---------------------------------------------------------
 
 def test_li_ap_fixture_n1_y0():
@@ -507,6 +563,33 @@ def test_expr_point_plus_then_minus_round_trips(coords, tags, spec):
     bare = ExprPoint(coords)
     assert bare.plus(t).minus(t).tags == ()
     assert bare.plus(t).tags == (((t.tag, 1),) if t.symbolic else ())
+
+
+def test_meyer_expr_refuses_a_branch_window_of_the_wrong_dimension():
+    for window in (Box([F(0)] * 2, [F(1)] * 2), None):
+        with pytest.raises(ValueError, match="need a window of dimension m = 1"):
+            meyer_expr(fib(), [(None, UNIT), (None, window)])
+
+
+def test_m_zero_ignores_the_window():
+    # None, the trivial window and a window of any dimension give one output
+    il2 = builtin("integer_lattice(2)")
+
+    def parity(z):
+        return sum(z) % 2
+
+    outputs = []
+    for window in (None, trivial_window(), UNIT):
+        expr = meyer_expr(il2, [(None, window), ([F(1, 2), F(0)], window)])
+        refined, window2, report = euclideanize(expr)
+        outputs.append((
+            ap_to_dict(mono_li_ap(il2, window, 2, parity, [F(3), F(-1)])),
+            ap_to_dict(li_ap_in_meyer(expr, 2, [F(5, 2), F(0)])),
+            cps_to_dict(refined), window_to_dict(window2), report,
+        ))
+    assert outputs[0] == outputs[1] == outputs[2]
+    trivial = window_to_dict(trivial_window())
+    assert [part["window"] for part in outputs[0][3]["parts"]] == [trivial, trivial]
 
 
 def test_meyer_expr_rejects_translate_outside_span():

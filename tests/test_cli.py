@@ -17,8 +17,8 @@ from apmeyer.files import (
     format_coloring,
     load_expr,
     parse_coloring,
-    parse_point_lines,
     parse_region,
+    parse_vector_lines,
     window_from_dict,
     window_to_dict,
 )
@@ -68,7 +68,7 @@ def test_gen_point_file_round_trip(tmp_path, capsys):
     code, report = run(capsys, "gen", "--cps", "fibonacci", "--window", "[0,1]",
                        "--region", "|x|<=3", "--out", str(out))
     assert code == 0
-    coords = parse_point_lines(out.read_text())
+    coords = parse_vector_lines(out.read_text())
     assert coords == [(0, -1), (0, 0), (1, 0), (1, 1)]
 
 
@@ -362,8 +362,15 @@ _WINDOW = {"type": "box", "lo": ["0"], "hi": ["1"]}
     ("gen --cps fibonacci --region |x|<=3 --window", [_WINDOW]),
     ("aprank --expr", {"cps": "fibonacci"}),
     ("aprank --expr", {"cps": "fibonacci", "branches": [{"translate": ["0"]}]}),
+    ("validate --cps", {"d": 1, "m": 1, "D": 5,
+                        "generators": [[1, 1], ["1/2+1/2*sqrt(5)", "1/2-1/2*sqrt(5)"]]}),
+    ("gen --cps fibonacci --region |x|<=3 --window", {**_WINDOW, "lo_closed": True}),
+    ("gen --cps fibonacci --region |x|<=3 --window", {**_WINDOW, "hi_closed": [1]}),
+    ("aprank --expr", {"cps": "fibonacci", "branches": [
+        {"translate": ["0"], "window": {"type": "box", "lo": ["0", "0"], "hi": ["1", "1"]}}]}),
 ], ids=["scheme-without-generators", "scheme-as-list", "window-as-list",
-        "expr-without-branches", "branch-without-window"])
+        "expr-without-branches", "branch-without-window", "numeric-generator",
+        "flags-not-an-array", "flags-not-booleans", "branch-window-of-wrong-dimension"])
 def test_malformed_input_files_exit_two(tmp_path, capsys, command, payload):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))

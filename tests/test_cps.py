@@ -701,6 +701,18 @@ def test_delone_certificate_needs_two_points():
         delone_certificate([(F(0),)], Box([F(0)], [F(1)]))
 
 
+def test_delone_certificate_charges_pairs_and_probes():
+    # Z^2 over [0, 2]^2: nine points charge 81 distance pairs, and the unit
+    # grid over the region is nine probes of one unit each
+    il2 = builtin("integer_lattice(2)")
+    region = Box([F(0), F(0)], [F(2), F(2)])
+    pts = enumerate_model_set(il2, trivial_window(), region)
+    with pytest.raises(BudgetExceeded), metered(81 + 9 - 1):
+        delone_certificate(pts, region, resolution=F(1))
+    with metered(81 + 9):
+        assert delone_certificate(pts, region, resolution=F(1)) == (1, 2)
+
+
 def test_uniform_discreteness_is_monotone_in_the_region():
     window = Box([F(0)], [F(1)])
     last = None
