@@ -299,13 +299,7 @@ def _cover_radius(job: _CoverJob) -> tuple[Fraction, int]:
     half = Fraction(span, 2)
     axis = _rational_range(-half, half, resolution)
     charge(len(axis) ** d)
-    worst = -1.0
-    worst_probe = None
-    for probe in product(axis, repeat=d):
-        dd = nearest(probe)
-        if dd > worst:
-            worst = dd
-            worst_probe = probe
+    worst_probe = max(product(axis, repeat=d), key=nearest)  # the first worst probe
     upper_sq = quad_bounds(nearest(worst_probe, exact=True), bits=40)[1]
     return sqrt_upper(upper_sq) + resolution, charged() - before
 

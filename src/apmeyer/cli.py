@@ -2,8 +2,10 @@
 
 Every subcommand prints one JSON report (sorted keys, exact literals plus
 informative 20-digit decimals) so repeated runs on identical inputs are
-byte-identical.  Exit codes: 0 success, 1 verification/search failure,
-2 input error.
+byte-identical.  `main` frames every report as `command`, `inputs`,
+`result` and `status`.  Exit codes: 0 success (`status` "ok"),
+1 verification/search failure (`status` "fail", or an error on stderr),
+2 input error (on stderr, no report).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import progression as _prog
 from . import vdw as _vdw
 from .errors import (DEFAULT_BUDGET, ApMeyerError, NoMonoGrid, ParseError, RankGapError,
                      VerificationFailed, metered)
-from .exact import as_quad, decimal_str, flatten_vector, parse_quad, rank_over_Q
+from .exact import as_quad, decimal_str, flatten_vector, rank_over_Q
 
 
 def _dual(x) -> dict:
@@ -41,11 +43,7 @@ def _input_ref(spec: str) -> object:
         return spec  # builtin name or inline literal
 
 
-def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-
-
-def _point_payload(cps, point) -> dict:
+def _point_payload(point) -> dict:
     return {
         "coords": list(point.coords),
         "physical": [_dual(x) for x in point.physical],
@@ -53,88 +51,60 @@ def _point_payload(cps, point) -> dict:
     }
 
 
-def _parse_anchor(text, d):
-    if text is None:
-        return (Fraction(0),) * d
-    parts = [p for p in text.split(",") if p.strip()]
-    anchor = tuple(parse_quad(p) for p in parts)
-    if len(anchor) != d:
-        raise ParseError(f"anchor has {len(anchor)} axes, expected {d}")
-    return anchor
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (result, ok), and `main` frames the report
 # ---------------------------------------------------------------------------
 
-def _window_for(cps, window_arg):
-    window = None if window_arg is None else _files.parse_window_arg(window_arg)
-    return _cps.scheme_window(cps, window)
+def _window(args):
+    return None if args.window is None else _files.parse_window_arg(args.window)
 
 
-def _cmd_gen(args) -> tuple[dict, int]:
+def _cmd_gen(args) -> tuple[dict, bool]:
     cps = _files.load_cps(args.cps)
-    window = _window_for(cps, args.window)
-    region = _files.parse_region(args.region, cps.d)
-    points = _cps.enumerate_model_set(cps, window, region)
-    result = {
-        "count": len(points),
-        "points": [_point_payload(cps, p) for p in points],
-    }
+    window = _window(args)
+    points = _cps.enumerate_model_set(cps, window, _files.parse_region(args.region, cps.d))
+    result = {"count": len(points), "points": [_point_payload(p) for p in points]}
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(_files.format_point_lines(points))
         result["point_file"] = args.out
-    return {"result": result, "status": "ok"}, 0
+    return result, True
 
 
-def _cmd_validate(args) -> tuple[dict, int]:
-    cps = _files.load_cps(args.cps)
-    report = _cps.validate(cps)
-    payload = {
+def _cmd_validate(args) -> tuple[dict, bool]:
+    report = _cps.validate(_files.load_cps(args.cps))
+    return {
         "lattice_invertible": report.lattice_invertible,
         "projection_injective": report.projection_injective,
         "density": report.density,
         "ok": report.ok,
-    }
-    return {"result": payload, "status": "ok" if report.ok else "fail"}, 0 if report.ok else 1
+    }, report.ok
 
 
-def _cmd_rank(args) -> tuple[dict, int]:
+def _cmd_rank(args) -> tuple[dict, bool]:
     with open(args.points) as fh:
         vectors = _files.parse_vector_lines(fh.read())
-    rank = rank_over_Q([flatten_vector(v) for v in vectors])
-    return {"result": {"vectors": len(vectors), "rank": rank}, "status": "ok"}, 0
+    return {"vectors": len(vectors), "rank": rank_over_Q([flatten_vector(v) for v in vectors])}, True
 
 
-def _cmd_crt(args) -> tuple[dict, int]:
-    coeffs = _prog.crt_coefficients(args.n, args.N)
-    return {
-        "result": {
-            "n": coeffs.n,
-            "N": coeffs.length,
-            "primes": list(coeffs.primes),
-            "m": list(coeffs.values),
-        },
-        "status": "ok",
-    }, 0
+def _cmd_crt(args) -> tuple[dict, bool]:
+    c = _prog.crt_coefficients(args.n, args.N)
+    return {"n": c.n, "N": c.length, "primes": list(c.primes), "m": list(c.values)}, True
 
 
-def _cmd_find_ap(args) -> tuple[dict, int]:
+def _cmd_find_ap(args) -> tuple[dict, bool]:
     if args.expr and args.oracle:
         raise ParseError("--oracle needs --cps: it enumerates the model set")
     if args.expr and args.window:
         raise ParseError("--window needs --cps: an expression takes its windows from its branches")
     if args.expr:
         expr = _files.load_expr(args.expr)
-        cps = expr.cps
-        anchor = _parse_anchor(args.at, cps.d)
-        ap = _aprank.li_ap_in_meyer(expr, args.length, anchor)
-        radius = None
+        anchor = _files.parse_point(args.at, expr.cps.d, "anchor")
+        ap, radius = _aprank.li_ap_in_meyer(expr, args.length, anchor), None
     else:
         cps = _files.load_cps(args.cps)
-        window = _window_for(cps, args.window)
-        anchor = _parse_anchor(args.at, cps.d)
+        window = _window(args)
+        anchor = _files.parse_point(args.at, cps.d, "anchor")
         ap, radius = _aprank.li_ap_in_model_set(cps, window, args.length, anchor)
     result = {
         "progression": _files.ap_to_dict(ap),
@@ -143,38 +113,29 @@ def _cmd_find_ap(args) -> tuple[dict, int]:
     }
     if radius is not None:
         result["radius"] = _dual(radius)
+    ok = args.rank_target in (None, result["rank"])
     if args.oracle:
         ball = _cps.Ball(anchor, radius * radius)
         sample = {p.coords for p in _cps.enumerate_model_set(cps, window, ball)}
         members = [tuple(p) in sample for p in _prog.ap_points(ap)]
         result["oracle"] = {"points_checked": len(members), "all_member": all(members)}
-        if not all(members):
-            return {"result": result, "status": "fail"}, 1
-    if args.rank_target is not None and result["rank"] != args.rank_target:
-        return {"result": result, "status": "fail"}, 1
-    return {"result": result, "status": "ok"}, 0
+        ok = ok and all(members)
+    return result, ok
 
 
-def _cmd_vdw(args) -> tuple[dict, int]:
+def _cmd_vdw(args) -> tuple[dict, bool]:
     with open(args.colors) as fh:
         coloring = _files.parse_coloring(fh.read())
     grid = _vdw.find_mono_grid(coloring, args.depth)
     if grid is None:
-        return {"result": {"grid": None}, "status": "fail"}, 1
+        return {"grid": None}, False
     return {
-        "result": {
-            "grid": {
-                "offsets": list(grid.offsets),
-                "steps": list(grid.steps),
-                "depth": grid.depth,
-            },
-            "points": [list(p) for p in _vdw.grid_points(grid)],
-        },
-        "status": "ok",
-    }, 0
+        "grid": {"offsets": list(grid.offsets), "steps": list(grid.steps), "depth": grid.depth},
+        "points": [list(p) for p in _vdw.grid_points(grid)],
+    }, True
 
 
-def _cmd_aprank(args) -> tuple[dict, int]:
+def _cmd_aprank(args) -> tuple[dict, bool]:
     expr = _files.load_expr(args.expr)
     # the sample first: a length that runs out of budget leaves the meter spent
     sample_rank = _aprank.sample_module_rank(expr)
@@ -189,18 +150,15 @@ def _cmd_aprank(args) -> tuple[dict, int]:
         ],
         "sample_module_rank": sample_rank,
     }
-    return {"result": result, "status": "ok"}, 0
+    return result, True
 
 
-def _cmd_euclideanize(args) -> tuple[dict, int]:
+def _cmd_euclideanize(args) -> tuple[dict, bool]:
     expr = _files.load_expr(args.expr)
     try:
         refined, window, verification = _aprank.euclideanize(expr, Fraction(args.sample))
     except RankGapError as exc:
-        return {
-            "result": {"rank_gap": True, "independent_translate": exc.translate},
-            "status": "fail",
-        }, 1
+        return {"rank_gap": True, "independent_translate": exc.translate}, False
     result = {
         "multiplier": _aprank.refinement_multiplier(expr),
         "cps": _files.cps_to_dict(refined),
@@ -213,10 +171,10 @@ def _cmd_euclideanize(args) -> tuple[dict, int]:
             path = result["files"][kind] = f"{args.out}.{kind}.json"
             with open(path, "w") as fh:
                 json.dump(result[kind], fh, sort_keys=True, indent=2)
-    return {"result": result, "status": "ok"}, 0
+    return result, True
 
 
-def _cmd_example(args) -> tuple[dict, int]:
+def _cmd_example(args) -> tuple[dict, bool]:
     if args.name == "rank_gap":
         cps = _files.load_cps(args.cps or "fibonacci")
         expr = _aprank.rank_gap_example(cps, args.n)
@@ -229,7 +187,7 @@ def _cmd_example(args) -> tuple[dict, int]:
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
-    return {"result": {"kind": kind, kind: payload}, "status": "ok"}, 0
+    return {"kind": kind, kind: payload}, True
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +276,19 @@ def main(argv=None) -> int:
             inputs[key] = _input_ref(value)
     try:
         with metered(getattr(args, "budget", DEFAULT_BUDGET)):
-            body, code = args.fn(args)
+            result, ok = args.fn(args)
     except (ParseError, OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except (NoMonoGrid, VerificationFailed) as exc:
-        body, code = {"result": {"error": str(exc)}, "status": "fail"}, 1
+        result, ok = {"error": str(exc)}, False
     except ApMeyerError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    report = {"command": args.command, "inputs": inputs}
-    report.update(body)
-    _emit(report)
-    return code
+    report = {"command": args.command, "inputs": inputs, "result": result,
+              "status": "ok" if ok else "fail"}
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -41,11 +41,36 @@ def _object(data, what, *keys):
     return data
 
 
-def _array(data, what):
-    """`data` if it is a JSON array, else `ParseError`."""
+def _array(data, what, of=None):
+    """`data` if it is a JSON array (of `of` values, when given), else `ParseError`."""
     if not isinstance(data, list):
         raise ParseError(f"{what} must be a JSON array, not {type(data).__name__}")
+    return data if of is None else [_scalar(x, f"an entry of {what}", of) for x in data]
+
+
+_JSON_NAMES = {bool: "boolean", int: "integer", str: "string"}
+
+
+def _scalar(data, what, kind):
+    """`data` if it is a JSON `kind` (a bool is not an int), else `ParseError`."""
+    if type(data) is not kind:
+        raise ParseError(f"{what} must be a JSON {_JSON_NAMES[kind]}, not {type(data).__name__}")
     return data
+
+
+def _quads(data, what):
+    """The exact literals of the JSON array `data`."""
+    return [parse_quad(x) for x in _array(data, what)]
+
+
+def parse_point(text, dim, what):
+    """Comma-separated exact literals, one per axis; the origin for None."""
+    if text is None:
+        return (Fraction(0),) * dim
+    point = tuple(parse_quad(p) for p in text.split(",") if p.strip())
+    if len(point) != dim:
+        raise ParseError(f"{what} has {len(point)} axes, expected {dim}")
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +91,8 @@ def cps_from_dict(data: dict) -> CutProjectScheme:
     """Scheme from `d`, `m`, `D` and `generators`.  A `density` key, which
     `cps_to_dict` writes, is ignored: the scheme derives its density."""
     _object(data, "scheme", "d", "m", "D", "generators")
-    rows = _array(data["generators"], "scheme generators")
-    gens = [[parse_quad(x) for x in _array(row, "generator")] for row in rows]
-    return CutProjectScheme(data["d"], data["m"], data["D"], gens)
+    gens = [_quads(row, "generator") for row in _array(data["generators"], "scheme generators")]
+    return CutProjectScheme(*(_scalar(data[k], f"scheme {k}", int) for k in "dmD"), gens)
 
 
 def load_cps(spec: str) -> CutProjectScheme:
@@ -117,9 +141,7 @@ def window_to_dict(window) -> dict:
 def _flags(data, key):
     """Boundary flags `data[key]`, None when absent; else an array of booleans."""
     flags = data.get(key)
-    if flags is not None and not all(type(f) is bool for f in _array(flags, key)):
-        raise ParseError(f"{key} must be an array of booleans")
-    return flags
+    return flags if flags is None else _array(flags, key, bool)
 
 
 def window_from_dict(data: dict):
@@ -127,19 +149,19 @@ def window_from_dict(data: dict):
     if kind == "box":
         _object(data, "box window", "lo", "hi")
         return Box(
-            [parse_quad(x) for x in data["lo"]],
-            [parse_quad(x) for x in data["hi"]],
+            _quads(data["lo"], "box lo"),
+            _quads(data["hi"], "box hi"),
             _flags(data, "lo_closed"),
             _flags(data, "hi_closed"),
         )
     if kind == "ball":
         _object(data, "ball window", "center", "radius_sq")
-        return Ball([parse_quad(x) for x in data["center"]], parse_rational(data["radius_sq"]))
+        return Ball(_quads(data["center"], "ball center"), parse_rational(data["radius_sq"]))
     if kind == "shifted_union":
         parts = _array(_object(data, "union window", "parts")["parts"], "window parts")
         return ShiftedUnion(
             [
-                ([parse_quad(x) for x in part["shift"]], window_from_dict(part["window"]))
+                (_quads(part["shift"], "union shift"), window_from_dict(part["window"]))
                 for part in (_object(p, "window part", "shift", "window") for p in parts)
             ]
         )
@@ -179,17 +201,10 @@ def parse_region(text: str, dim: int):
     m = _REGION_BALL_RE.fullmatch(t)
     if m:
         center_text, radius_text = m.groups()
-        if center_text is None:
-            center = [Fraction(0)] * dim
-        else:
-            parts = [p for p in center_text.split(",") if p.strip()]
-            center = [parse_quad(p) for p in parts]
-            if len(center) != dim:
-                raise ParseError(f"region center has {len(center)} axes, expected {dim}")
         radius = parse_rational(radius_text)
         if radius <= 0:
             raise ParseError("region radius must be positive")
-        return Ball(center, radius * radius)
+        return Ball(parse_point(center_text, dim, "region center"), radius * radius)
     if t.startswith("["):
         box = parse_box_inline(t)
         if box.dim != dim:
@@ -221,10 +236,11 @@ def expr_from_dict(data: dict) -> MeyerExpr:
     for branch in _array(data["branches"], "expression branches"):
         t = _object(branch, "expression branch", "translate", "window")["translate"]
         if isinstance(t, dict):
-            approx = tuple(float(a) for a in t.get("approx", ())) or (0.0,) * cps.d
-            spec = SymbolicTranslate(_object(t, "translate", "symbolic")["symbolic"], approx)
+            approx = tuple(map(float, _array(t.get("approx", []), "symbolic approx", str)))
+            tag = _scalar(_object(t, "translate", "symbolic")["symbolic"], "symbolic tag", str)
+            spec = SymbolicTranslate(tag, approx or (0.0,) * cps.d)
         else:
-            spec = [parse_quad(x) for x in t]
+            spec = _quads(t, "translate")
         specs.append((spec, window_from_dict(branch["window"])))
     return meyer_expr(cps, specs)
 
@@ -257,24 +273,25 @@ def ap_to_dict(ap: ArithmeticProgression) -> dict:
 def ap_from_dict(data: dict) -> ArithmeticProgression:
     kind = data.get("coordinate_kind", "lattice")
 
-    def scalar(text):
-        q = parse_quad(text)
-        if kind == "lattice":
-            if q.b != 0 or q.a.denominator != 1:
-                raise ParseError(f"lattice coordinates must be integers, got {text!r}")
-            return int(q.a)
-        return q
+    def point(values):
+        qs = _quads(values, "progression point")
+        if kind != "lattice":
+            return tuple(qs)
+        if any(q.b != 0 or q.a.denominator != 1 for q in qs):
+            raise ParseError(f"lattice coordinates must be integers, got {values!r}")
+        return tuple(int(q.a) for q in qs)
 
     base = data["base"]
     if isinstance(base, dict):
+        tags = _object(base.get("tags", {}), "base tags")
         base = ExprPoint(
-            tuple(parse_rational(c) for c in base["coords"]),
-            tuple(sorted((t, int(k)) for t, k in base.get("tags", {}).items())),
+            tuple(parse_rational(c) for c in _array(base["coords"], "base coords")),
+            tuple(sorted((t, _scalar(k, "tag count", int)) for t, k in tags.items())),
         )
     else:
-        base = tuple(scalar(x) for x in base)
-    ratios = tuple(tuple(scalar(x) for x in r) for r in data["ratios"])
-    return ArithmeticProgression(base, ratios, int(data["length"]), kind=kind)
+        base = point(base)
+    ratios = tuple(point(r) for r in _array(data["ratios"], "ratios"))
+    return ArithmeticProgression(base, ratios, _scalar(data["length"], "length", int), kind=kind)
 
 
 def format_point_lines(points) -> str:

@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import json
 import subprocess
@@ -7,18 +8,24 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from apmeyer.cli import main
+from apmeyer.errors import ParseError, VerificationFailed
 from apmeyer.files import (
     ap_from_dict,
     ap_to_dict,
     cps_from_dict,
+    cps_to_dict,
     expr_to_dict,
     format_coloring,
+    load_cps,
     load_expr,
     parse_coloring,
     parse_region,
     parse_vector_lines,
+    parse_window_arg,
     window_from_dict,
     window_to_dict,
 )
@@ -354,6 +361,8 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
 
 
 _WINDOW = {"type": "box", "lo": ["0"], "hi": ["1"]}
+_FIBONACCI = {"d": 1, "m": 1, "D": 5,
+              "generators": [["1", "1"], ["1/2+1/2*sqrt(5)", "1/2-1/2*sqrt(5)"]]}
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -368,15 +377,173 @@ _WINDOW = {"type": "box", "lo": ["0"], "hi": ["1"]}
     ("gen --cps fibonacci --region |x|<=3 --window", {**_WINDOW, "hi_closed": [1]}),
     ("aprank --expr", {"cps": "fibonacci", "branches": [
         {"translate": ["0"], "window": {"type": "box", "lo": ["0", "0"], "hi": ["1", "1"]}}]}),
+    # a string where an array belongs is not read one character per axis
+    ("gen --cps ammann_beenker --region |x|<=2 --window", {"type": "box", "lo": "00", "hi": "11"}),
+    ("gen --cps fibonacci --region |x|<=3 --window", {**_WINDOW, "hi": "1"}),
+    ("gen --cps fibonacci --region |x|<=3 --window",
+     {"type": "ball", "center": "0", "radius_sq": "1"}),
+    ("gen --cps fibonacci --region |x|<=3 --window",
+     {"type": "shifted_union", "parts": [{"shift": "0", "window": _WINDOW}]}),
+    ("aprank --lengths 1 --expr", {"cps": "fibonacci", "branches": [
+        {"translate": "1", "window": _WINDOW}]}),
+    ("aprank --lengths 1 --expr", {"cps": "fibonacci", "branches": [
+        {"translate": {"symbolic": "s1", "approx": "17"}, "window": _WINDOW}]}),
+    # d, m and D are JSON integers, and a bool is not one
+    ("validate --cps", {**_FIBONACCI, "d": [1]}),
+    ("validate --cps", {**_FIBONACCI, "D": 5.9}),
+    ("validate --cps", {**_FIBONACCI, "d": True}),
 ], ids=["scheme-without-generators", "scheme-as-list", "window-as-list",
         "expr-without-branches", "branch-without-window", "numeric-generator",
-        "flags-not-an-array", "flags-not-booleans", "branch-window-of-wrong-dimension"])
+        "flags-not-an-array", "flags-not-booleans", "branch-window-of-wrong-dimension",
+        "box-bounds-as-strings", "box-hi-as-string", "ball-center-as-string",
+        "union-shift-as-string", "translate-as-string", "approx-as-string",
+        "d-as-array", "D-as-float", "d-as-bool"])
 def test_malformed_input_files_exit_two(tmp_path, capsys, command, payload):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     assert main([*command.split(), str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("input error:") and captured.out == ""
+
+
+def _blocked_coloring(tmp_path):
+    path = tmp_path / "blocked.colors"
+    colors = {(i,): int(b) for i, b in enumerate("01100110")}
+    path.write_text(format_coloring(CubeColoring(7, 1, colors)))
+    return str(path)
+
+
+def _file(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _fail_verification(*args, **kwargs):
+    raise VerificationFailed("verification failed: planted")
+
+
+@pytest.mark.parametrize("outcome, code", [
+    ("gen", 0), ("validate-singular", 1), ("vdw-no-grid", 1),
+    ("rank-target-mismatch", 1), ("rank-gap", 1), ("verification-failed", 1),
+])
+def test_every_report_has_one_frame(tmp_path, capsys, monkeypatch, outcome, code):
+    from apmeyer import aprank
+
+    argv = {
+        "gen": lambda: ["gen", "--cps", "fibonacci", "--window", "[0,1]", "--region", "|x|<=3"],
+        "validate-singular": lambda: ["validate", "--cps", _file(
+            tmp_path, "singular.json", {**_FIBONACCI, "generators": [["1", "1"], ["2", "2"]]})],
+        "vdw-no-grid": lambda: ["vdw", "--colors", _blocked_coloring(tmp_path), "--depth", "2"],
+        "rank-target-mismatch": lambda: ["find-ap", "--cps", "fibonacci", "--window", "[0,1]",
+                                         "--length", "1", "--rank-target", "3"],
+        "rank-gap": lambda: ["euclideanize", "--expr", _file(
+            tmp_path, "gap.json", expr_to_dict(rank_gap_example(builtin("fibonacci"), 1)))],
+        "verification-failed": lambda: ["find-ap", "--cps", "fibonacci", "--window", "[0,1]",
+                                        "--length", "1"],
+    }[outcome]()
+    if outcome == "verification-failed":
+        monkeypatch.setattr(aprank, "li_ap_in_model_set", _fail_verification)
+    got, report = run(capsys, *argv)
+    assert got == code
+    assert set(report) == {"command", "inputs", "result", "status"}
+    assert (report["status"] == "ok") == (got == 0)
+
+
+# -- mutated input files -----------------------------------------------------------
+
+# every JSON type; the strings include literals, and strings that a loose
+# reader would take for an array of one-character literals
+_JSON_LEAF = (st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-5, 5)
+              | st.text(max_size=4) | st.sampled_from(["00", "1", "17", "1/2", "0-1*sqrt(5)"]))
+_JSON = st.recursive(_JSON_LEAF, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=4)
+
+
+def _nodes(value, path=()):
+    """The path of every node of a JSON value, children before their parent,
+    so the root's `()` comes last."""
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _nodes(child, path + (key,))
+    yield path
+
+
+def _mutated(draw, value):
+    """`value` after one to three mutations, each at a drawn node: the node
+    swapped for another JSON value or for a copy of another node of the file,
+    dropped from its object, or an array resized by removing an entry or
+    repeating one."""
+    value = copy.deepcopy(value)
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(value))
+        path = draw(st.sampled_from(nodes))
+        parent = value
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else value
+        ops = ["swap", "graft"]
+        if path and isinstance(parent, dict):
+            ops.append("drop")
+        if isinstance(node, list):
+            ops.append("resize")
+        op = draw(st.sampled_from(ops))
+        if op == "drop":
+            del parent[path[-1]]
+            continue
+        if op == "swap":
+            node = draw(_JSON)
+        elif op == "graft":
+            node = value
+            for key in draw(st.sampled_from(nodes)):
+                node = node[key]
+            node = copy.deepcopy(node)
+        elif node and draw(st.booleans()):
+            del node[draw(st.integers(0, len(node) - 1))]
+        else:
+            node.append(copy.deepcopy(draw(st.sampled_from(node))) if node else draw(_JSON))
+        if path:
+            parent[path[-1]] = node
+        else:
+            value = node
+    return value
+
+
+_FIB = builtin("fibonacci")
+_UNION = {"type": "shifted_union", "parts": [
+    {"shift": ["0"], "window": {**_WINDOW, "lo_closed": [True], "hi_closed": [False]}},
+    {"shift": ["1/2"], "window": {"type": "ball", "center": ["0"], "radius_sq": "1/16"}}]}
+# (command with FILE for the file, loader of that file, a valid file)
+_MUTATED_INPUTS = [
+    ("validate --cps FILE", load_cps, cps_to_dict(_FIB)),
+    ("validate --cps FILE", load_cps, cps_to_dict(builtin("ammann_beenker"))),
+    ("gen --cps FILE --window [0,1] --region |x|<=2 --budget 2000", load_cps, _FIBONACCI),
+    ("gen --cps fibonacci --region |x|<=3 --budget 2000 --window FILE", parse_window_arg,
+     _UNION),
+    ("aprank --lengths 1 --budget 2000 --expr FILE", load_expr,
+     expr_to_dict(rank_gap_example(_FIB, 1))),
+    ("aprank --lengths 1 --budget 2000 --expr FILE", load_expr,
+     {"cps": cps_to_dict(_FIB), "branches": [{"translate": ["1/3"], "window": _UNION}]}),
+]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_input_files_exit_zero_one_or_two(tmp_path, capsys, data):
+    command, loader, payload = data.draw(st.sampled_from(_MUTATED_INPUTS))
+    path = _file(tmp_path, "input.json", _mutated(data.draw, payload))
+    try:
+        loader(path)
+        refused = False
+    except (ParseError, ValueError):
+        refused = True
+    code = main([path if a == "FILE" else a for a in command.split()])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert code == 2 or not refused, captured
+    if code == 2:
+        assert captured.err.startswith("input error:") and captured.out == ""
 
 
 # -- parsing helpers ----------------------------------------------------------------
