@@ -15,7 +15,7 @@ from itertools import product
 
 from .aprank import ExprPoint, MeyerExpr, SymbolicTranslate, meyer_expr
 from .cps import Ball, Box, CutProjectScheme, ShiftedUnion, builtin
-from .errors import ParseError
+from .errors import NotInLattice, ParseError
 from .exact import (
     as_quad,
     decimal_str,
@@ -242,7 +242,10 @@ def expr_from_dict(data: dict) -> MeyerExpr:
         else:
             spec = _quads(t, "translate")
         specs.append((spec, window_from_dict(branch["window"])))
-    return meyer_expr(cps, specs)
+    try:
+        return meyer_expr(cps, specs)
+    except NotInLattice as exc:  # a translate of the file, not an internal lift
+        raise ParseError(str(exc)) from exc
 
 
 def load_expr(path: str) -> MeyerExpr:

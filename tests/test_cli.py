@@ -392,12 +392,16 @@ _FIBONACCI = {"d": 1, "m": 1, "D": 5,
     ("validate --cps", {**_FIBONACCI, "d": [1]}),
     ("validate --cps", {**_FIBONACCI, "D": 5.9}),
     ("validate --cps", {**_FIBONACCI, "d": True}),
+    # the physical span of this scheme is Q(1/2+1/2*sqrt(5)), which misses 1/3
+    ("aprank --lengths 1 --expr", {"cps": {**_FIBONACCI, "generators": [
+        ["1/2+1/2*sqrt(5)", "1"], ["1/2+1/2*sqrt(5)", "1/2-1/2*sqrt(5)"]]},
+        "branches": [{"translate": ["1/3"], "window": _WINDOW}]}),
 ], ids=["scheme-without-generators", "scheme-as-list", "window-as-list",
         "expr-without-branches", "branch-without-window", "numeric-generator",
         "flags-not-an-array", "flags-not-booleans", "branch-window-of-wrong-dimension",
         "box-bounds-as-strings", "box-hi-as-string", "ball-center-as-string",
         "union-shift-as-string", "translate-as-string", "approx-as-string",
-        "d-as-array", "D-as-float", "d-as-bool"])
+        "d-as-array", "D-as-float", "d-as-bool", "translate-outside-the-span"])
 def test_malformed_input_files_exit_two(tmp_path, capsys, command, payload):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
